@@ -20,8 +20,9 @@ import sys
 from fractions import Fraction
 
 from discbraid.estimator import calibrate_constant
+from discbraid.experiments import calabi_profiles
 from discbraid.flows import calabi, make_flow
-from discbraid.profiles import make_hs_profile, polynomial_bump
+from discbraid.profiles import make_hs_profile
 from discbraid.quasimorphisms import linking_quasimorphism, signature_quasimorphism
 
 
@@ -32,11 +33,7 @@ def main() -> int:
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
-    calabi_flows = [
-        make_flow([(polynomial_bump(Fraction(1, 8), Fraction(1, 2), 60), 1)]),
-        make_flow([(polynomial_bump(Fraction(1, 4), Fraction(3, 4), 96), 1)]),
-        make_flow([(polynomial_bump(Fraction(3, 8), Fraction(7, 8), 48), 1)]),
-    ]
+    calabi_flows = [make_flow([(h, 1)]) for h in calabi_profiles()]
     result = calibrate_constant(
         calabi_flows,
         linking_quasimorphism(1, 2),

@@ -3,106 +3,42 @@
 
 Usage: python scripts/run_verification.py [--samples N] [--seed S] [--out report.json]
 
-This is the heavyweight counterpart of `discbraid verify --all`: Monte Carlo
-checks run at the sample counts the acceptance criteria use, so expect a few
-minutes of wall time.
+This is the heavyweight counterpart of `discbraid verify --all`: both run
+`discbraid.experiments.battery`, here at the "acceptance" scale, where the
+Monte Carlo checks use the sample counts of the acceptance criteria, so
+expect a few minutes of wall time.
 """
 
 import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
-import numpy as np
-
-from discbraid.experiments import (
-    check_bilipschitz_disc,
-    check_calabi_proportionality,
-    check_crossing_bound,
-    check_hs_family,
-    check_lipschitz,
-    check_signature_matrix,
-    check_word_length_bound,
-)
-from discbraid.braids import make_word, power
-from discbraid.flows import make_flow
-from discbraid.profiles import make_hs_profile, polynomial_bump
-from discbraid.quasimorphisms import linking_quasimorphism, signature_quasimorphism
+from discbraid.experiments import battery
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--samples", type=int, default=100_000)
     parser.add_argument("--lipschitz-samples", type=int, default=10_000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", default="verification_report.json")
-    args = parser.parse_args()
-
-    profiles = [
-        polynomial_bump(Fraction(1, 8), Fraction(1, 2), 60),
-        polynomial_bump(Fraction(1, 4), Fraction(3, 4), 96),
-        polynomial_bump(Fraction(3, 8), Fraction(7, 8), 48),
-    ]
-    hs = [make_hs_profile(Fraction(1, 4) + Fraction(k, 60)) for k in range(5)]
-    rng = np.random.default_rng(args.seed)
+    args = parser.parse_args(argv)
 
     reports = []
-
-    def record(rep, label):
+    t0 = time.time()
+    for _name, label, run in battery(
+        "acceptance",
+        seed=args.seed,
+        samples=args.samples,
+        lipschitz_samples=args.lipschitz_samples,
+        trials=100,
+        threads=args.threads,
+    ):
+        rep = run()
         reports.append(rep)
         print(f"{'PASS' if rep.passed else 'FAIL'} {label} (margin {rep.margin:.6g})")
-
-    t0 = time.time()
-    for k, profile in enumerate(profiles):
-        rep = check_crossing_bound(make_flow([(profile, 1 + k)]), 3, trials=100, seed=args.seed + k)
-        record(rep, f"crossing-bound flow {k}")
-
-    words = [power(make_word([1, 1], 2), k) for k in range(11)]
-    record(
-        check_word_length_bound(linking_quasimorphism(), [Fraction(1)], words, seed=args.seed),
-        "word-length lk",
-    )
-    torus = [make_word([1] * (2 * k), 2) for k in range(12)]
-    record(
-        check_word_length_bound(
-            signature_quasimorphism(), [Fraction(1)], torus, defect=Fraction(1)
-        ),
-        "word-length signature",
-    )
-
-    record(check_signature_matrix(profiles), "signature-matrix")
-
-    grid = [Fraction(1, 4) + (Fraction(1, 3) - Fraction(1, 4)) * Fraction(k, 49) for k in range(50)]
-    record(check_hs_family(grid), "hs-family")
-
-    vectors = [
-        [Fraction(int(v), 128) for v in rng.integers(1, 512, size=5)] for _ in range(20)
-    ]
-    record(check_bilipschitz_disc(hs, vectors, p=2), "bilipschitz")
-
-    record(
-        check_calabi_proportionality(
-            profiles, samples=args.samples, seed=args.seed, k_schedule=(4, 8), threads=args.threads
-        ),
-        "calabi-proportionality",
-    )
-
-    family = [make_flow([(polynomial_bump(Fraction(1, 4), Fraction(3, 4), 20), t)]) for t in range(1, 9)]
-    record(
-        check_lipschitz(
-            family,
-            signature_quasimorphism(),
-            3,
-            p=2,
-            samples=args.lipschitz_samples,
-            seed=args.seed,
-            k_schedule=(1, 2),
-            threads=args.threads,
-        ),
-        "lipschitz",
-    )
 
     with open(args.out, "w") as fh:
         json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)

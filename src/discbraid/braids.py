@@ -28,6 +28,7 @@ __all__ = [
     "is_pure",
     "linking_number",
     "linking_matrix",
+    "parse_word",
     "parse_braid_text",
     "format_braid_text",
 ]
@@ -185,7 +186,12 @@ def parse_braid_text(text: str) -> BraidWord:
         n = int(lines[0].strip())
     except ValueError as exc:
         raise InputError(f"bad strand-count header: {lines[0]!r}") from exc
-    tokens = " ".join(lines[1:]).split()
+    return parse_word(" ".join(lines[1:]), n)
+
+
+def parse_word(text: str, n: int) -> BraidWord:
+    """Word on n strands from whitespace-separated signed letters, e.g. '1 1 -2'."""
+    tokens = text.split()
     try:
         letters = [int(tok) for tok in tokens]
     except ValueError as exc:

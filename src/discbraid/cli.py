@@ -13,21 +13,14 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
-from .braids import format_braid_text, make_word, parse_braid_text
+from .braids import format_braid_text, parse_braid_text, parse_word
 from .errors import DegeneracyError, DegenerateConfigurationError, InputError
 from .estimator import default_base, estimate_phi_n, estimate_phi_tilde_n
-from .experiments import (
-    check_bilipschitz_disc,
-    check_calabi_proportionality,
-    check_crossing_bound,
-    check_hs_family,
-    check_lipschitz,
-    check_signature_matrix,
-    check_word_length_bound,
-)
+from .experiments import battery
 from .flows import flow_from_json, lp_length_radial, make_flow, radial_flow_apply
 from .lengths import lp_length_of_bundle, lp_length_sampled
 from .loops import (
@@ -37,7 +30,7 @@ from .loops import (
     read_trajectory_csv,
     write_trajectory_csv,
 )
-from .profiles import make_hs_profile, polynomial_bump, profile_from_json, profile_to_json
+from .profiles import make_hs_profile, profile_from_json, profile_to_json
 from .quasimorphisms import (
     homogenize,
     linking_quasimorphism,
@@ -88,7 +81,7 @@ def _load_word(args):
     if args.word is not None:
         if args.strands is None:
             raise InputError("--word needs --strands")
-        return make_word([int(tok) for tok in args.word.split()], args.strands)
+        return parse_word(args.word, args.strands)
     if args.braid_file is not None:
         with open(args.braid_file) as fh:
             return parse_braid_text(fh.read())
@@ -158,7 +151,7 @@ def cmd_invariant(args) -> int:
                 "kind": f"homogenized-{args.phi}",
                 "value": float(hom.value),
                 "value_exact": [hom.value.numerator, hom.value.denominator],
-                "error_bound": float(hom.error_bound),
+                "error_bound": None if hom.error_bound is None else float(hom.error_bound),
                 "k_used": hom.k_used,
             },
         )
@@ -183,20 +176,8 @@ def cmd_estimate(args) -> int:
             "k_schedule": list(k_schedule) if k_schedule else None,
         },
     )
-    if k_schedule:
-        est = estimate_phi_tilde_n(
-            flow,
-            phi,
-            args.n,
-            samples=args.samples,
-            k_schedule=k_schedule,
-            seed=args.seed,
-            threads=args.threads,
-        )
-    else:
-        est = estimate_phi_n(
-            flow, phi, args.n, samples=args.samples, seed=args.seed, threads=args.threads
-        )
+    estimate = partial(estimate_phi_tilde_n, k_schedule=k_schedule) if k_schedule else estimate_phi_n
+    est = estimate(flow, phi, args.n, samples=args.samples, seed=args.seed, threads=args.threads)
     _emit(args, est.to_dict())
     return 0
 
@@ -240,74 +221,23 @@ def cmd_make_hs(args) -> int:
     return 0
 
 
-DEFAULT_CHECKS = (
-    "crossing-bound",
-    "word-length",
-    "signature-matrix",
-    "hs-family",
-    "bilipschitz",
-    "calabi",
-    "lipschitz",
-)
-
-
-def _default_profiles():
-    return [
-        polynomial_bump(Fraction(1, 8), Fraction(1, 2), 60),
-        polynomial_bump(Fraction(1, 4), Fraction(3, 4), 96),
-        polynomial_bump(Fraction(3, 8), Fraction(7, 8), 48),
-    ]
-
-
 def cmd_verify(args) -> int:
-    names = DEFAULT_CHECKS if args.all else tuple(args.checks.split(","))
-    _print_config(args, "verify", {"checks": list(names), "samples": args.samples})
-    from .braids import power
-
+    entries = battery(
+        "desk",
+        seed=args.seed,
+        samples=args.samples,
+        lipschitz_samples=max(args.samples // 2, 2000),
+        trials=args.trials,
+        threads=args.threads,
+    )
+    runs = {name: run for name, _label, run in entries}
+    names = list(runs) if args.all or args.checks is None else args.checks.split(",")
+    _print_config(args, "verify", {"checks": names, "samples": args.samples})
     reports = []
     for name in names:
-        if name == "crossing-bound":
-            flow = make_flow([(polynomial_bump(Fraction(1, 4), Fraction(3, 4), 24), 1)])
-            rep = check_crossing_bound(flow, 3, trials=args.trials, seed=args.seed)
-        elif name == "word-length":
-            words = [power(make_word([1, 1], 2), k) for k in range(11)]
-            rep = check_word_length_bound(
-                linking_quasimorphism(), [Fraction(1)], words, seed=args.seed
-            )
-        elif name == "signature-matrix":
-            rep = check_signature_matrix(_default_profiles())
-        elif name == "hs-family":
-            s_values = [Fraction(1, 4) + Fraction(k, 240) for k in range(21)]
-            rep = check_hs_family(s_values)
-        elif name == "bilipschitz":
-            hs = [make_hs_profile(Fraction(1, 4) + Fraction(k, 60)) for k in range(5)]
-            rng = np.random.default_rng(args.seed)
-            vectors = [
-                [Fraction(int(x), 64) for x in rng.integers(1, 256, size=5)]
-                for _ in range(args.trials // 5 or 1)
-            ]
-            rep = check_bilipschitz_disc(hs, vectors, p=2)
-        elif name == "calabi":
-            rep = check_calabi_proportionality(
-                _default_profiles(),
-                samples=args.samples,
-                seed=args.seed,
-                threads=args.threads,
-            )
-        elif name == "lipschitz":
-            prof = polynomial_bump(Fraction(1, 4), Fraction(3, 4), 20)
-            family = [make_flow([(prof, t)]) for t in range(1, 9)]
-            rep = check_lipschitz(
-                family,
-                signature_quasimorphism(),
-                3,
-                p=2,
-                samples=max(args.samples // 2, 2000),
-                seed=args.seed,
-                threads=args.threads,
-            )
-        else:
+        if name not in runs:
             raise InputError(f"unknown check {name!r}")
+        rep = runs[name]()
         reports.append(rep)
         print(f"{'PASS' if rep.passed else 'FAIL'} {rep.check} margin={rep.margin:.6g}")
     if args.report:
@@ -417,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_command("verify", help="run the theorem checks")
     sp.add_argument("--all", action="store_true")
-    sp.add_argument("--checks", default=",".join(DEFAULT_CHECKS))
+    sp.add_argument("--checks", help="comma list of check names; default: all")
     sp.add_argument("--samples", type=int, default=4000)
     sp.add_argument("--trials", type=int, default=50)
     sp.add_argument("--report", help="write the JSON report here")

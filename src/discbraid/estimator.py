@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,6 +26,7 @@ from .flows import FlowSpec
 from .loops import (
     COINCIDENCE_THRESHOLD,
     DegenerateConfigurationError,
+    closest_pair,
     gg_loop,
     loop_braid,
 )
@@ -34,6 +36,8 @@ __all__ = [
     "QmEstimate",
     "CalibrationResult",
     "default_base",
+    "sample_configs",
+    "config_loop",
     "estimate_phi_n",
     "estimate_phi_tilde_n",
     "calibrate_constant",
@@ -71,14 +75,7 @@ class QmEstimate:
             raise InputError("estimate value/error out of range")
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "samples": self.samples,
-            "rejected": self.rejected,
-            "seed": self.seed,
-            "k_schedule": list(self.k_schedule),
-        }
+        return {**asdict(self), "k_schedule": list(self.k_schedule)}
 
 
 def default_base(n: int) -> np.ndarray:
@@ -87,19 +84,31 @@ def default_base(n: int) -> np.ndarray:
     return 0.5 * np.stack((np.cos(angles), np.sin(angles)), axis=1)
 
 
-def _sample_configs(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+def sample_configs(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """``count`` configurations of n points, uniform on the disc; (count, n, 2)."""
     r = np.sqrt(rng.uniform(0.0, 1.0, size=(count, n)))
     theta = rng.uniform(0.0, 2.0 * np.pi, size=(count, n))
     return np.stack((r * np.cos(theta), r * np.sin(theta)), axis=-1)
 
 
-def _min_pairwise(config: np.ndarray) -> float:
-    n = config.shape[0]
-    best = math.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            best = min(best, float(np.hypot(*(config[i] - config[j]))))
-    return best
+def config_loop(
+    flow: FlowSpec,
+    base: np.ndarray,
+    config: np.ndarray,
+    samples_per_segment: Optional[int],
+):
+    """(loop bundle, loop braid) of one configuration, or None when rejected.
+
+    Rejected are configurations with a pair closer than MIN_SEPARATION and
+    those whose extraction stays degenerate after direction perturbations.
+    """
+    if closest_pair(config)[0] < MIN_SEPARATION:
+        return None
+    try:
+        bundle = gg_loop(base, config, flow, samples_per_segment)
+        return bundle, loop_braid(bundle)
+    except DegenerateConfigurationError:
+        return None
 
 
 def _phi_single(
@@ -110,14 +119,8 @@ def _phi_single(
     samples_per_segment: int,
 ):
     """phi on the loop braid of one configuration, or None when rejected."""
-    if _min_pairwise(config) < MIN_SEPARATION:
-        return None
-    try:
-        bundle = gg_loop(base, config, flow, samples_per_segment)
-        word = loop_braid(bundle)
-    except DegenerateConfigurationError:
-        return None
-    return float(phi(word))
+    loop = config_loop(flow, base, config, samples_per_segment)
+    return None if loop is None else float(phi(loop[1]))
 
 
 def _lk2_chunk_values(
@@ -209,7 +212,7 @@ def _phi_chunk(
 ) -> tuple[float, float, int, int]:
     """Accumulate (sum, sum of squares, accepted, rejected) for one chunk."""
     rng = chunk_rng(seed, TASK_PHI, chunk)
-    configs = _sample_configs(rng, count, n)
+    configs = sample_configs(rng, count, n)
     fast_lk2 = (
         n == 2
         and phi.pool_key is not None
@@ -405,25 +408,13 @@ def calibrate_constant(
         raise InputError("need >= 2 flows with matching predicted values")
     if any(p == 0 for p in predicted):
         raise InputError("predicted values must be nonzero")
-    estimates = []
-    for flow in flows:
-        if k_schedule is None:
-            estimates.append(
-                estimate_phi_n(flow, phi, n, base=base, samples=samples, seed=seed, threads=threads)
-            )
-        else:
-            estimates.append(
-                estimate_phi_tilde_n(
-                    flow,
-                    phi,
-                    n,
-                    base=base,
-                    samples=samples,
-                    k_schedule=k_schedule,
-                    seed=seed,
-                    threads=threads,
-                )
-            )
+    estimate = (
+        estimate_phi_n if k_schedule is None else partial(estimate_phi_tilde_n, k_schedule=k_schedule)
+    )
+    estimates = [
+        estimate(flow, phi, n, base=base, samples=samples, seed=seed, threads=threads)
+        for flow in flows
+    ]
     ratios = tuple(est.value / float(p) for est, p in zip(estimates, predicted))
     constant = sum(ratios) / len(ratios)
     if constant == 0:

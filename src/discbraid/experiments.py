@@ -18,24 +18,24 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .braids import BraidWord, representative_length
+from .braids import BraidWord, make_word, power, representative_length
 from .errors import InputError
 from .estimator import (
     TASK_EXPERIMENT,
     CalibrationResult,
     calibrate_constant,
     chunk_rng,
+    config_loop,
     default_base,
     estimate_phi_tilde_n,
-    _min_pairwise,
-    _sample_configs,
-    MIN_SEPARATION,
+    sample_configs,
 )
 from .flows import (
     FlowSpec,
@@ -45,12 +45,20 @@ from .flows import (
     make_flow,
     signature_moment,
 )
-from .loops import DegenerateConfigurationError, gg_loop, loop_braid, winding_length
-from .profiles import RadialProfile, make_hs_profile
-from .quasimorphisms import QuasimorphismSpec, linking_quasimorphism, sample_defect
+from .loops import winding_length
+from .poly import divide_linear, evaluate
+from .profiles import RadialProfile, make_hs_profile, polynomial_bump
+from .quasimorphisms import (
+    QuasimorphismSpec,
+    linking_quasimorphism,
+    sample_defect,
+    signature_quasimorphism,
+)
 
 __all__ = [
     "Report",
+    "battery",
+    "calabi_profiles",
     "check_crossing_bound",
     "check_word_length_bound",
     "check_lipschitz",
@@ -70,13 +78,7 @@ class Report:
     seed: Optional[int] = None
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "passed": self.passed,
-            "margin": self.margin,
-            "seed": self.seed,
-            "details": self.details,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -100,17 +102,12 @@ def check_crossing_bound(
     margins = []
     skipped = 0
     for trial in range(trials):
-        rng = chunk_rng(seed, TASK_EXPERIMENT, trial)
-        config = _sample_configs(rng, 1, n)[0]
-        if _min_pairwise(config) < MIN_SEPARATION:
+        config = sample_configs(chunk_rng(seed, TASK_EXPERIMENT, trial), 1, n)[0]
+        loop = config_loop(flow, base, config, samples_per_segment)
+        if loop is None:
             skipped += 1
             continue
-        try:
-            bundle = gg_loop(base, config, flow, samples_per_segment)
-            word = loop_braid(bundle)
-        except DegenerateConfigurationError:
-            skipped += 1
-            continue
+        bundle, word = loop
         bound = 2.0 * sum(
             winding_length(bundle, i, j) + 4.0
             for i in range(n)
@@ -219,16 +216,7 @@ def check_lipschitz(
         fit_margins.append(3.0 * (s + sigmas[0] + sigmas[1]) - abs(v - predicted))
 
     ratios = [v / l for v, l in zip(values, lengths)]
-    ratio_sigmas = [s / l for s, l in zip(sigmas, lengths)]
-    mean_ratio = sum(ratios) / len(ratios)
-    m = len(ratios)
-    ratio_margins = []
-    for i, (r, s) in enumerate(zip(ratios, ratio_sigmas)):
-        comb = math.sqrt(
-            (1 - 1 / m) ** 2 * s**2
-            + sum(ratio_sigmas[j] ** 2 for j in range(m) if j != i) / m**2
-        )
-        ratio_margins.append(3.0 * comb - abs(r - mean_ratio))
+    mean_ratio, ratio_margins = _ratio_margins(ratios, [s / l for s, l in zip(sigmas, lengths)])
 
     # linear fit of signed estimates against lengths (lengths scale with t)
     xs = np.array(lengths)
@@ -257,6 +245,20 @@ def check_lipschitz(
     )
 
 
+def _ratio_margins(ratios: Sequence[float], sigmas: Sequence[float]):
+    """(mean ratio, per-member margins): each ratio's slack inside 3 combined
+    standard errors of its deviation from the family mean."""
+    m = len(ratios)
+    mean_ratio = sum(ratios) / m
+    margins = []
+    for i, (r, s) in enumerate(zip(ratios, sigmas)):
+        comb = math.sqrt(
+            (1 - 1 / m) ** 2 * s**2 + sum(sigmas[j] ** 2 for j in range(m) if j != i) / m**2
+        )
+        margins.append(3.0 * comb - abs(r - mean_ratio))
+    return mean_ratio, margins
+
+
 def check_bilipschitz_disc(
     profiles: Sequence[RadialProfile],
     vectors: Sequence[Sequence],
@@ -274,19 +276,13 @@ def check_bilipschitz_disc(
     if not profiles or not vectors:
         raise InputError("need profiles and vectors")
     moments = [signature_moment(h, 3) for h in profiles]
-    if any(m == 0 for m in moments):
+    if any(m == 0 for m in moments) or len({m > 0 for m in moments}) != 1:
+        failure = "a moment vanishes" if 0 in moments else "moments change sign"
         return Report(
             "bilipschitz_disc",
             False,
             math.nan,
-            {"hypothesis_failure": "a moment vanishes", "moments": [float(m) for m in moments]},
-        )
-    if len({m > 0 for m in moments}) != 1:
-        return Report(
-            "bilipschitz_disc",
-            False,
-            math.nan,
-            {"hypothesis_failure": "moments change sign", "moments": [float(m) for m in moments]},
+            {"hypothesis_failure": failure, "moments": [float(m) for m in moments]},
         )
     single_moments = [
         lp_speed_moment_exact(make_flow([(h, 1)]), p) for h in profiles
@@ -383,11 +379,8 @@ def _exact_lobe_sign(profile: RadialProfile, lo: Fraction, hi: Fraction, positiv
     rational root (the two shapes the family uses); in both cases interval
     positivity reduces to endpoint evaluations of a linear factor.
     """
-    for k, piece in enumerate(profile.pieces):
-        a, b = profile.breakpoints[k], profile.breakpoints[k + 1]
+    for a, b, piece in _pieces_meeting(profile, lo, hi):
         seg_lo, seg_hi = max(a, lo), min(b, hi)
-        if seg_lo >= seg_hi:
-            continue
         coeffs = list(piece)
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
@@ -397,10 +390,12 @@ def _exact_lobe_sign(profile: RadialProfile, lo: Fraction, hi: Fraction, positiv
                 return False
         elif deg == 3:
             # the flank shape: a double root at one piece endpoint
-            quot = _divide_out_double_root(coeffs, a)
-            if quot is None:
-                quot = _divide_out_double_root(coeffs, b)
-            if quot is None:
+            for root in (a, b):
+                quot, first = divide_linear(coeffs, root)
+                quot, second = divide_linear(quot, root)
+                if first == second == 0:
+                    break
+            else:
                 return False
             if not _linear_sign_on_open(quot, seg_lo, seg_hi, positive, strict=True):
                 return False
@@ -409,41 +404,25 @@ def _exact_lobe_sign(profile: RadialProfile, lo: Fraction, hi: Fraction, positiv
     return True
 
 
+def _pieces_meeting(profile: RadialProfile, lo: Fraction, hi: Fraction):
+    """(a, b, piece) for every piece [a, b] of the profile that meets (lo, hi)."""
+    bps = profile.breakpoints
+    return [
+        (bps[k], bps[k + 1], piece)
+        for k, piece in enumerate(profile.pieces)
+        if max(bps[k], lo) < min(bps[k + 1], hi)
+    ]
+
+
 def _linear_sign_on_open(coeffs, lo: Fraction, hi: Fraction, positive: bool, strict: bool = False) -> bool:
     """Sign of a degree <= 1 polynomial on the open interval (lo, hi)."""
-    v_lo, v_hi = _eval(coeffs, lo), _eval(coeffs, hi)
+    v_lo, v_hi = evaluate(coeffs, lo), evaluate(coeffs, hi)
     if not positive:
         v_lo, v_hi = -v_lo, -v_hi
     if strict:
         return v_lo > 0 and v_hi > 0
     # zeros allowed only at the interval ends
     return v_lo >= 0 and v_hi >= 0 and (v_lo > 0 or v_hi > 0)
-
-
-def _eval(coeffs, y: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * y + c
-    return acc
-
-
-def _divide_linear(coeffs, root: Fraction):
-    """Synthetic division by (y - root); (quotient, remainder), ascending."""
-    desc = list(reversed(coeffs))
-    out = [desc[0]]
-    for c in desc[1:]:
-        out.append(c + root * out[-1])
-    return list(reversed(out[:-1])), out[-1]
-
-
-def _divide_out_double_root(coeffs, root: Fraction):
-    """Divide a cubic by (y - root)^2; the linear quotient, or None."""
-    current = list(coeffs)
-    for _ in range(2):
-        current, remainder = _divide_linear(current, root)
-        if remainder != 0:
-            return None
-    return current
 
 
 def check_hs_family(
@@ -481,7 +460,7 @@ def check_hs_family(
             failures.append(f"left lobe not positive at s={s}")
         if not _exact_lobe_sign(h, half, hi, positive=False):
             failures.append(f"right lobe not negative at s={s}")
-        piece = _core_restriction(h, core_lo, core_hi)
+        piece = tuple(pc for _, _, pc in _pieces_meeting(h, core_lo, core_hi))
         if core_piece is None:
             core_piece = piece
         elif piece != core_piece:
@@ -515,15 +494,6 @@ def check_hs_family(
     )
 
 
-def _core_restriction(profile: RadialProfile, lo: Fraction, hi: Fraction):
-    pieces = []
-    for k, piece in enumerate(profile.pieces):
-        a, b = profile.breakpoints[k], profile.breakpoints[k + 1]
-        if max(a, lo) < min(b, hi):
-            pieces.append(piece)
-    return tuple(pieces)
-
-
 def check_calabi_proportionality(
     profiles: Sequence[RadialProfile],
     times: Sequence = (1, 1, 1),
@@ -553,16 +523,7 @@ def check_calabi_proportionality(
     ratio_sigmas = [
         est.std_error / abs(pred) for est, pred in zip(result.estimates, predicted)
     ]
-    m = len(result.ratios)
-    mean_ratio = sum(result.ratios) / m
-    margins = []
-    for i, (r, s) in enumerate(zip(result.ratios, ratio_sigmas)):
-        comb = math.sqrt(
-            (1 - 1 / m) ** 2 * s**2
-            + sum(ratio_sigmas[j] ** 2 for j in range(m) if j != i) / m**2
-        )
-        margins.append(3.0 * comb - abs(r - mean_ratio))
-    margin = min(margins)
+    margin = min(_ratio_margins(result.ratios, ratio_sigmas)[1])
     return Report(
         "calabi_proportionality",
         margin >= 0.0,
@@ -576,3 +537,76 @@ def check_calabi_proportionality(
         },
         seed,
     )
+
+
+def calabi_profiles() -> list[RadialProfile]:
+    """The criterion-7 family: three bumps with distinct supports and heights."""
+    return [
+        polynomial_bump(Fraction(1, 8), Fraction(1, 2), 60),
+        polynomial_bump(Fraction(1, 4), Fraction(3, 4), 96),
+        polynomial_bump(Fraction(3, 8), Fraction(7, 8), 48),
+    ]
+
+
+def battery(
+    scale: str = "desk",
+    seed: int = 0,
+    samples: int = 4000,
+    lipschitz_samples: int = 2000,
+    trials: int = 50,
+    threads: int = 1,
+) -> list[tuple[str, str, Callable[[], Report]]]:
+    """The verification battery: (check name, label, call) per report, in run order.
+
+    ``scale`` is "desk" (``discbraid verify``, one report per check name) or
+    "acceptance" (scripts/run_verification.py: the crossing bound on all
+    three criterion-7 flows, the word-length bound for the signature too,
+    and finer parameter grids).  Both scales cover the same check names.
+    ``samples`` drives the Calabi check, ``lipschitz_samples`` the
+    Lipschitz check, and ``trials`` the crossing-bound trials and the
+    bi-Lipschitz vector count (one vector per five trials).
+    """
+    if scale not in ("desk", "acceptance"):
+        raise InputError(f"unknown battery scale {scale!r}")
+    desk = scale == "desk"
+    profiles = calabi_profiles()
+    bump = partial(polynomial_bump, Fraction(1, 4), Fraction(3, 4))
+    if desk:
+        crossing = [("crossing-bound", make_flow([(bump(24), 1)]))]
+    else:
+        crossing = [(f"crossing-bound flow {k}", make_flow([(h, 1 + k)])) for k, h in enumerate(profiles)]
+    entries = [
+        ("crossing-bound", label, partial(check_crossing_bound, flow, 3, trials=trials, seed=seed + k))
+        for k, (label, flow) in enumerate(crossing)
+    ]
+    lk_words = [power(make_word([1, 1], 2), k) for k in range(11)]
+    entries.append(("word-length", "word-length lk", partial(
+        check_word_length_bound, linking_quasimorphism(), [Fraction(1)], lk_words, seed=seed
+    )))
+    if not desk:
+        torus = [make_word([1] * (2 * k), 2) for k in range(12)]
+        entries.append(("word-length", "word-length signature", partial(
+            check_word_length_bound, signature_quasimorphism(), [Fraction(1)], torus, defect=Fraction(1)
+        )))
+    points = 21 if desk else 50  # evenly spaced over [1/4, 1/3]
+    s_grid = [Fraction(1, 4) + Fraction(1, 12) * Fraction(k, points - 1) for k in range(points)]
+    hs = [make_hs_profile(Fraction(1, 4) + Fraction(k, 60)) for k in range(5)]
+    den = 64 if desk else 128  # vector entries on the 1/den grid in (0, 4)
+    rng = np.random.default_rng(seed)
+    vectors = [
+        [Fraction(int(x), den) for x in rng.integers(1, 4 * den, size=5)]
+        for _ in range(trials // 5 or 1)
+    ]
+    family = [make_flow([(bump(20), t)]) for t in range(1, 9)]
+    return entries + [
+        ("signature-matrix", "signature-matrix", partial(check_signature_matrix, profiles)),
+        ("hs-family", "hs-family", partial(check_hs_family, s_grid)),
+        ("bilipschitz", "bilipschitz", partial(check_bilipschitz_disc, hs, vectors, p=2)),
+        ("calabi", "calabi-proportionality", partial(
+            check_calabi_proportionality, profiles, samples=samples, seed=seed, threads=threads
+        )),
+        ("lipschitz", "lipschitz", partial(
+            check_lipschitz, family, signature_quasimorphism(), 3, p=2,
+            samples=lipschitz_samples, seed=seed, threads=threads,
+        )),
+    ]

@@ -22,14 +22,8 @@ import numpy as np
 from scipy import integrate
 
 from .errors import InputError
-from .profiles import (
-    RadialProfile,
-    _poly_antiderivative,
-    _poly_eval,
-    _poly_shift_mul,
-    profile_from_json,
-    profile_to_json,
-)
+from .poly import add, integral, mul, real_roots, shift
+from .profiles import RadialProfile, profile_from_json, profile_to_json
 
 __all__ = [
     "FlowSpec",
@@ -93,11 +87,6 @@ def make_flow(terms, validate: bool = True) -> FlowSpec:
     return FlowSpec(tuple(packed))
 
 
-def _as_cartesian(point) -> tuple[float, float]:
-    x, y = float(point[0]), float(point[1])
-    return x, y
-
-
 def radial_flow_apply(spec: FlowSpec, point, polar: bool = False):
     """Apply the time-one map of the flow to a point of the closed disc.
 
@@ -109,7 +98,7 @@ def radial_flow_apply(spec: FlowSpec, point, polar: bool = False):
         if r < 0 or r > 1 + 1e-12:
             raise InputError(f"radius {r} outside the closed unit disc")
         return (r, theta + float(spec.angular_rate_float(r * r)))
-    x, y = _as_cartesian(point)
+    x, y = float(point[0]), float(point[1])
     r2 = x * x + y * y
     if r2 > 1 + 1e-9:
         raise InputError(f"point {point} outside the closed unit disc")
@@ -163,12 +152,7 @@ def _derivative_integrand_pieces(profile: RadialProfile):
     for k, piece in enumerate(d.pieces):
         a, b = float(d.breakpoints[k]), float(d.breakpoints[k + 1])
         coeffs = np.array([float(c) for c in piece][::-1])
-        roots = []
-        if coeffs.size > 1:
-            for root in np.roots(coeffs):
-                if abs(root.imag) < 1e-12 and a < root.real < b:
-                    roots.append(float(root.real))
-        out.append((a, b, coeffs, sorted(roots)))
+        out.append((a, b, coeffs, real_roots(coeffs, a, b)))
     return out
 
 
@@ -219,22 +203,14 @@ def lp_speed_moment_exact(spec: FlowSpec, p: int) -> Fraction:
     total = Fraction(0)
     for lo, hi in zip(breakpoints, breakpoints[1:]):
         # combined rate polynomial on this piece
-        rate = [Fraction(0)]
+        rate = (Fraction(0),)
         for h, t in spec.terms:
             d = h.derivative()
-            piece = d.pieces[_piece_at(d, lo)]
-            width = max(len(piece), len(rate))
-            rate = [
-                (rate[k] if k < len(rate) else Fraction(0))
-                + 2 * Fraction(t) * (piece[k] if k < len(piece) else Fraction(0))
-                for k in range(width)
-            ]
-        power_poly = [Fraction(1)]
+            rate = add(rate, tuple(2 * Fraction(t) * c for c in d.pieces[_piece_at(d, lo)]))
+        power_poly = (Fraction(1),)
         for _ in range(p):
-            power_poly = _poly_mul(power_poly, rate)
-        integrand = _poly_shift_mul(tuple(power_poly), p // 2)
-        anti = _poly_antiderivative(integrand)
-        total += _poly_eval(anti, hi) - _poly_eval(anti, lo)
+            power_poly = mul(power_poly, rate)
+        total += integral(shift(power_poly, p // 2), lo, hi)
     return total
 
 
@@ -248,14 +224,6 @@ def _piece_at(profile: RadialProfile, y: Fraction) -> int:
         if y < profile.breakpoints[k + 1]:
             return k
     return len(profile.pieces) - 1
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ci in enumerate(a):
-        for j, cj in enumerate(b):
-            out[i + j] += ci * cj
-    return out
 
 
 def integrate_flow_numeric(profile: RadialProfile, t: float, point, step: float):
@@ -280,7 +248,7 @@ def integrate_flow_numeric(profile: RadialProfile, t: float, point, step: float)
         w = 2.0 * acc
         return -w * y, w * x
 
-    x, y = _as_cartesian(point)
+    x, y = float(point[0]), float(point[1])
     remaining = float(t)
     direction = 1.0 if remaining >= 0 else -1.0
     remaining = abs(remaining)

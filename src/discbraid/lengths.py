@@ -16,13 +16,13 @@ such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import InputError
-from .estimator import TASK_LP_SPACE, chunk_rng
+from .estimator import TASK_LP_SPACE, chunk_rng, sample_configs
 from .flows import FlowSpec
 from .loops import TrajectoryBundle
 
@@ -41,13 +41,7 @@ class LengthEstimate:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "time_steps": self.time_steps,
-            "space_samples": self.space_samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def holder_constant(p: float) -> float:
@@ -100,10 +94,7 @@ def lp_length_sampled(
     if time_steps < 2 or space_samples < 1:
         raise InputError("need time_steps >= 2 and space_samples >= 1")
     apply = as_isotopy(isotopy)
-    rng = chunk_rng(seed, TASK_LP_SPACE, 0)
-    r = np.sqrt(rng.uniform(0.0, 1.0, space_samples))
-    theta = rng.uniform(0.0, 2.0 * np.pi, space_samples)
-    cloud = np.stack((r * np.cos(theta), r * np.sin(theta)), axis=1)
+    cloud = sample_configs(chunk_rng(seed, TASK_LP_SPACE, 0), space_samples, 1)[:, 0]
 
     times = np.linspace(0.0, 1.0, time_steps)
     dt = 0.5 * (times[1] - times[0])

@@ -29,6 +29,7 @@ from .flows import FlowSpec, flow_path
 
 __all__ = [
     "TrajectoryBundle",
+    "closest_pair",
     "gg_loop",
     "extract_braid",
     "extract_braid_auto",
@@ -68,22 +69,24 @@ class TrajectoryBundle:
     def is_loop(self, tol: float = 1e-12) -> bool:
         return bool(np.allclose(self.positions[:, 0], self.positions[:, -1], atol=tol))
 
-    def min_pairwise_distance(self) -> float:
-        n = self.strands
-        best = math.inf
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = np.linalg.norm(self.positions[i] - self.positions[j], axis=1)
-                best = min(best, float(d.min()))
-        return best
 
+def closest_pair(points) -> tuple[float, int, int]:
+    """(distance, i, j) of the closest pair, i < j, of n points or strands.
 
-def _check_distinct(points: np.ndarray, label: str):
-    n = len(points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.linalg.norm(points[i] - points[j]) < COINCIDENCE_THRESHOLD:
-                raise InputError(f"{label} points {i} and {j} coincide")
+    ``points`` is (n, 2), or (n, T, 2) for strands sampled at shared times,
+    whose distance is the least over the samples.  Every separation and
+    coincidence threshold in the package is tested against this one
+    formula (``np.hypot``); the first pair found wins ties.
+    """
+    best = (math.inf, -1, -1)
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            rel = points[i] - points[j]
+            d = np.hypot(rel[..., 0], rel[..., 1])
+            d = float(d.min() if d.ndim else d)  # skip the slow scalar reduction
+            if d < best[0]:
+                best = (d, i, j)
+    return best
 
 
 def gg_loop(
@@ -102,8 +105,10 @@ def gg_loop(
     x = np.asarray(start, dtype=float)
     if z.shape != x.shape or z.ndim != 2 or z.shape[1] != 2:
         raise InputError("base and start must be matching (n, 2) arrays")
-    _check_distinct(z, "base")
-    _check_distinct(x, "start")
+    for label, points in (("base", z), ("start", x)):
+        d, i, j = closest_pair(points)
+        if d < COINCIDENCE_THRESHOLD:
+            raise InputError(f"{label} points {i} and {j} coincide")
     if samples_per_segment is None:
         samples_per_segment = max(32, int(math.ceil(8.0 * flow.rotation_bound)))
     m = int(samples_per_segment)
@@ -147,7 +152,7 @@ def extract_braid(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidWord:
     dx, dy = perturb_direction(direction, 0)
     pos = bundle.positions
     n, T = pos.shape[0], pos.shape[1]
-    if bundle.min_pairwise_distance() < COINCIDENCE_THRESHOLD:
+    if closest_pair(pos)[0] < COINCIDENCE_THRESHOLD:
         raise DegenerateConfigurationError("strands pass within coincidence threshold")
 
     proj = pos[..., 0] * dx + pos[..., 1] * dy  # (n, T)
@@ -221,10 +226,17 @@ def extract_braid_auto(
     attempts: int = 8,
 ) -> BraidWord:
     """extract_braid with deterministic direction perturbation on degeneracy."""
+    return _extract_perturbed(bundle, direction, attempts)[0]
+
+
+def _extract_perturbed(bundle: TrajectoryBundle, direction, attempts: int):
+    """(word, direction) of the first of ``attempts`` perturbed directions
+    whose extraction is not degenerate; the last degeneracy otherwise."""
     last: DegenerateConfigurationError | None = None
     for attempt in range(attempts):
+        d = perturb_direction(direction, attempt)
         try:
-            return extract_braid(bundle, perturb_direction(direction, attempt))
+            return extract_braid(bundle, d), d
         except DegenerateConfigurationError as exc:
             last = exc
     raise last if last is not None else DegenerateConfigurationError("no attempts made")
@@ -266,34 +278,25 @@ def loop_braid(
     strand i is the strand of ``positions[i-1]``.  Conjugation leaves the
     closure and (for pure words) every pairwise linking number intact.
     """
-    last: DegenerateConfigurationError | None = None
-    for attempt in range(attempts):
-        d = perturb_direction(direction, attempt)
-        try:
-            word = extract_braid(bundle, d)
-        except DegenerateConfigurationError as exc:
-            last = exc
-            continue
-        order = initial_order(bundle, d)
-        if order == tuple(range(bundle.strands)):
-            return word
-        # strand with bundle index i must start in the slot where the
-        # projected order placed it
-        rank = [0] * bundle.strands
-        for slot, strand in enumerate(order):
-            rank[strand] = slot
-        u = BraidWord(bundle.strands, tuple(_permutation_word(rank, bundle.strands)))
-        return BraidWord(bundle.strands, u.letters + word.letters + u.inverse().letters)
-    raise last if last is not None else DegenerateConfigurationError("no attempts made")
+    word, d = _extract_perturbed(bundle, direction, attempts)
+    order = initial_order(bundle, d)
+    if order == tuple(range(bundle.strands)):
+        return word
+    # strand with bundle index i must start in the slot where the
+    # projected order placed it
+    rank = [0] * bundle.strands
+    for slot, strand in enumerate(order):
+        rank[strand] = slot
+    u = BraidWord(bundle.strands, tuple(_permutation_word(rank, bundle.strands)))
+    return BraidWord(bundle.strands, u.letters + word.letters + u.inverse().letters)
 
 
 def _relative_angle_steps(bundle: TrajectoryBundle, i: int, j: int) -> np.ndarray:
     if i == j:
         raise InputError("winding needs two distinct strands")
-    rel = bundle.positions[i] - bundle.positions[j]
-    dist = np.linalg.norm(rel, axis=1)
-    if dist.min() < COINCIDENCE_THRESHOLD:
+    if closest_pair(bundle.positions[[i, j]])[0] < COINCIDENCE_THRESHOLD:
         raise DegenerateConfigurationError("strands coincide along the bundle")
+    rel = bundle.positions[i] - bundle.positions[j]
     angles = np.arctan2(rel[:, 1], rel[:, 0])
     steps = np.diff(angles)
     return (steps + math.pi) % (2.0 * math.pi) - math.pi
@@ -327,6 +330,8 @@ def read_trajectory_csv(text: str) -> TrajectoryBundle:
         raise InputError("trajectory file too short")
     try:
         n, T = (int(tok) for tok in lines[0].split(","))
+        if n < 1 or T < 1:
+            raise ValueError("counts must be positive")
     except ValueError as exc:
         raise InputError(f"bad trajectory header {lines[0]!r}") from exc
     body = lines[1:]
@@ -343,8 +348,16 @@ def read_trajectory_csv(text: str) -> TrajectoryBundle:
             t, i, x, y = float(t_str), int(i_str), float(x_str), float(y_str)
         except ValueError as exc:
             raise InputError(f"bad trajectory row {row!r}") from exc
+        if not 0 <= i < n:
+            raise InputError(f"strand {i} out of range for {n} strands")
+        if not all(math.isfinite(v) for v in (t, x, y)):
+            raise InputError(f"non-finite value in trajectory row {row!r}")
         # rows arrive in time order per strand; the column is the row count
         k = int(np.count_nonzero(seen[i]))
+        if k == T:
+            raise InputError(f"strand {i} has more than {T} rows")
+        if seen[:, k].any() and times[k] != t:
+            raise InputError(f"strands disagree on sample {k}: time {float(times[k])} vs {t}")
         times[k] = t
         positions[i, k] = (x, y)
         seen[i, k] = True

@@ -17,6 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError
+from .poly import Poly, add, derivative, evaluate, integral, mul, real_roots, shift
 
 __all__ = [
     "RadialProfile",
@@ -27,32 +28,6 @@ __all__ = [
     "profile_to_json",
     "profile_from_json",
 ]
-
-Poly = tuple[Fraction, ...]  # coefficients, ascending degree
-
-
-def _poly_eval(coeffs: Poly, y):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * y + c
-    return acc
-
-
-def _poly_derivative(coeffs: Poly) -> Poly:
-    return tuple(c * k for k, c in enumerate(coeffs) if k > 0) or (Fraction(0),)
-
-
-def _poly_antiderivative(coeffs: Poly) -> Poly:
-    return (Fraction(0),) + tuple(c / (k + 1) for k, c in enumerate(coeffs))
-
-
-def _poly_shift_mul(coeffs: Poly, m: int) -> Poly:
-    """Multiply by y^m."""
-    return (Fraction(0),) * m + tuple(coeffs)
-
-
-def _poly_is_zero(coeffs: Poly) -> bool:
-    return all(c == 0 for c in coeffs)
 
 
 @dataclass(frozen=True)
@@ -84,13 +59,13 @@ class RadialProfile:
         for order in range(self.smoothness_class + 1):
             for k in range(len(d_pieces) - 1):
                 knot = bps[k + 1]
-                left = _poly_eval(d_pieces[k], knot)
-                right = _poly_eval(d_pieces[k + 1], knot)
+                left = evaluate(d_pieces[k], knot)
+                right = evaluate(d_pieces[k + 1], knot)
                 if left != right:
                     raise InputError(
                         f"derivative of order {order} jumps at y={knot}: {left} vs {right}"
                     )
-            d_pieces = tuple(_poly_derivative(p) for p in d_pieces)
+            d_pieces = tuple(derivative(p) for p in d_pieces)
 
     # -- exact queries ----------------------------------------------------
 
@@ -100,13 +75,13 @@ class RadialProfile:
             raise InputError(f"radial coordinate {y} outside [0, 1]")
         for k in range(len(self.pieces)):
             if y <= self.breakpoints[k + 1]:
-                return Fraction(_poly_eval(self.pieces[k], y))
-        return Fraction(_poly_eval(self.pieces[-1], y))
+                return Fraction(evaluate(self.pieces[k], y))
+        return Fraction(evaluate(self.pieces[-1], y))
 
     def derivative(self) -> "RadialProfile":
         return RadialProfile(
             self.breakpoints,
-            tuple(_poly_derivative(p) for p in self.pieces),
+            tuple(derivative(p) for p in self.pieces),
             max(self.smoothness_class - 1, 0),
         )
 
@@ -116,10 +91,7 @@ class RadialProfile:
             raise InputError("moment order must be nonnegative")
         total = Fraction(0)
         for k, piece in enumerate(self.pieces):
-            anti = _poly_antiderivative(_poly_shift_mul(piece, m))
-            total += _poly_eval(anti, self.breakpoints[k + 1]) - _poly_eval(
-                anti, self.breakpoints[k]
-            )
+            total += integral(shift(piece, m), self.breakpoints[k], self.breakpoints[k + 1])
         return total
 
     @property
@@ -127,7 +99,7 @@ class RadialProfile:
         """Closure of {h != 0}; None for the zero profile."""
         lo = hi = None
         for k, piece in enumerate(self.pieces):
-            if not _poly_is_zero(piece):
+            if any(c != 0 for c in piece):
                 if lo is None:
                     lo = self.breakpoints[k]
                 hi = self.breakpoints[k + 1]
@@ -168,20 +140,11 @@ class RadialProfile:
         d = self.derivative()
         for k, piece in enumerate(d.pieces):
             a, b = float(d.breakpoints[k]), float(d.breakpoints[k + 1])
-            candidates = [a, b]
             fl = [float(c) for c in piece]
-            dd = np.polyder(np.array(fl[::-1]))
-            if dd.size:
-                for root in np.roots(dd):
-                    if abs(root.imag) < 1e-12 and a <= root.real <= b:
-                        candidates.append(float(root.real))
-            for y in candidates:
-                best = max(best, abs(float(_poly_eval(tuple(fl), y))))
+            # critical points strictly inside; the ends are candidates anyway
+            for y in [a, b] + real_roots(np.polyder(np.array(fl[::-1])), a, b):
+                best = max(best, abs(float(evaluate(fl, y))))
         return best
-
-    def piece_index(self, y: float) -> int:
-        breaks, _ = self._float_compiled
-        return int(np.clip(np.searchsorted(breaks, y, side="right") - 1, 0, len(self.pieces) - 1))
 
 
 def zero_profile() -> RadialProfile:
@@ -193,13 +156,7 @@ def polynomial_bump(a, b, scale=1) -> RadialProfile:
     a, b, scale = Fraction(a), Fraction(b), Fraction(scale)
     if not 0 <= a < b <= 1:
         raise InputError(f"bad bump support [{a}, {b}]")
-    # (y-a)^2 (b-y)^2 expanded
-    p1 = (a * a, -2 * a, Fraction(1))
-    p2 = (b * b, -2 * b, Fraction(1))
-    prod = [Fraction(0)] * 5
-    for i, ci in enumerate(p1):
-        for j, cj in enumerate(p2):
-            prod[i + j] += ci * cj
+    prod = mul((a * a, -2 * a, Fraction(1)), (b * b, -2 * b, Fraction(1)))
     piece = tuple(scale * c for c in prod)
     breakpoints = [Fraction(0), a, b, Fraction(1)]
     pieces = [(Fraction(0),), piece, (Fraction(0),)]
@@ -238,7 +195,7 @@ def make_hs_profile(s) -> RadialProfile:
     # Left flank f(y) = (y-a)^2 (p*y + q) with f(3/8) = 1/8, f'(3/8) = -1.
     p = -(4 * w + 1) / (4 * w**3)
     q = Fraction(1, 8) / w**2 - p * Fraction(3, 8)
-    left = _expand_flank(a, p, q)
+    left = mul((a * a, -2 * a, Fraction(1)), (q, p))
     # Right flank is the odd reflection -f(1 - y) about y = 1/2.
     right = _reflect_poly(left)
     core = (Fraction(1, 2), Fraction(-1))  # 1/2 - y
@@ -254,27 +211,12 @@ def make_hs_profile(s) -> RadialProfile:
     return RadialProfile(breakpoints, pieces, 1)
 
 
-def _expand_flank(a: Fraction, p: Fraction, q: Fraction) -> Poly:
-    """(y - a)^2 (p y + q), expanded."""
-    sq = (a * a, -2 * a, Fraction(1))
-    lin = (q, p)
-    out = [Fraction(0)] * 4
-    for i, ci in enumerate(sq):
-        for j, cj in enumerate(lin):
-            out[i + j] += ci * cj
-    return tuple(out)
-
-
 def _reflect_poly(coeffs: Poly) -> Poly:
-    """-f(1 - y) for a cubic (or lower) f."""
-    out = [Fraction(0)] * len(coeffs)
-    # expand -sum c_k (1-y)^k
-    from math import comb
-
-    for k, c in enumerate(coeffs):
-        for j in range(k + 1):
-            out[j] += -c * comb(k, j) * (-1) ** j
-    return tuple(out)
+    """-f(1 - y), by Horner's rule in 1 - y."""
+    out = (-coeffs[-1],)
+    for c in reversed(coeffs[:-1]):
+        out = add(mul(out, (Fraction(1), Fraction(-1))), (-c,))
+    return out
 
 
 # -- file format ----------------------------------------------------------

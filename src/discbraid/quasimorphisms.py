@@ -50,7 +50,7 @@ class QuasimorphismSpec:
 @dataclass(frozen=True)
 class HomogenizedValue:
     value: Fraction
-    error_bound: Fraction
+    error_bound: Optional[Fraction]  # None: unknown (under two slopes, no declared defect)
     k_used: int
     evaluations: tuple[tuple[int, Fraction], ...] = field(default=())
 
@@ -72,7 +72,8 @@ def homogenize(
     are within ``tol`` of each other.
 
     The error bound is the telescoping bound 2*D/k when a defect bound D was
-    declared, and the last observed slope difference otherwise.
+    declared, the last observed slope difference otherwise, and None
+    (unknown) when neither exists.
     """
     if k_max < 2:
         raise InputError("k_max must be at least 2")
@@ -88,15 +89,13 @@ def homogenize(
         if values and len(word_k) > length_cap:
             break
         values.append((k, Fraction(phi(word_k))))
-    if len(values) == 1:
-        k, val = values[0]
-        return HomogenizedValue(val / k, Fraction(0), k, tuple(values))
+    if len(values) >= 2:
+        (k1, f1), (k2, f2) = values[0], values[1]
+        if f2 / k2 == f1 / k1:
+            return HomogenizedValue(f1 / k1, Fraction(0), 1, tuple(values[:2]))
 
-    (k1, f1), (k2, f2) = values[0], values[1]
-    if f2 / k2 == f1 / k1:
-        return HomogenizedValue(f1 / k1, Fraction(0), 1, tuple(values[:2]))
-
-    slopes: list[tuple[int, Fraction]] = []  # (base k, slope over [k, 2k])
+    # (base k, slope over [k, 2k]); phi(a) alone when a^2 is over the length cap
+    slopes: list[tuple[int, Fraction]] = [] if len(values) >= 2 else [values[0]]
     for (ka, fa), (kb, fb) in zip(values, values[1:]):
         slopes.append((ka, (fb - fa) / (kb - ka)))
         if len(slopes) >= 2 and abs(slopes[-1][1] - slopes[-2][1]) <= tol:
@@ -106,9 +105,7 @@ def homogenize(
     if phi.declared_defect_bound is not None:
         error = 2 * Fraction(phi.declared_defect_bound) / k_used
     else:
-        error = (
-            abs(slopes[-1][1] - slopes[-2][1]) if len(slopes) >= 2 else Fraction(0)
-        )
+        error = abs(slopes[-1][1] - slopes[-2][1]) if len(slopes) >= 2 else None
     return HomogenizedValue(value, error, k_used, tuple(values))
 
 

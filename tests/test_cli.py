@@ -68,6 +68,23 @@ class TestInvariant:
             main(["no-such-command"])
         assert info.value.code == 2
 
+    def test_bad_letter_is_input_error(self, capsys):
+        code, _, err = run_cli(capsys, "invariant", "signature", "--word", "1 x", "--strands", "2")
+        assert code == 1
+        assert json.loads(err)["error"] == "InputError"
+        assert "Traceback" not in err
+
+    def test_homogenized_single_slope_has_unknown_bound(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "invariant", "homogenized", "--phi", "signature",
+            "--word", "1 1 2", "--strands", "3", "--k-max", "2",
+        )
+        assert code == 0
+        doc = payload_of(out)
+        assert doc["value_exact"] == [-3, 1]
+        assert doc["error_bound"] is None
+        assert "null" in out
+
 
 class TestEstimate:
     def test_rotation_matches_pi_squared(self, capsys, rotation_flow_file):
@@ -110,6 +127,15 @@ class TestBraidExtract:
         word_lines2 = [l for l in out2.splitlines() if not l.startswith("#")]
         assert word_lines1 == word_lines2
         assert word_lines1[0] == "2"
+
+    @pytest.mark.parametrize("command", ["braid-extract", "lp-length"])
+    @pytest.mark.parametrize("row", ["0.0,-1,-0.5,0", "0.0,5,-0.5,0", "0.5,1,-0.5,0", "0.0,1,nan,0"])
+    def test_malformed_trajectory_is_input_error(self, capsys, tmp_path, command, row):
+        traj = tmp_path / "traj.csv"
+        traj.write_text(f"2,2\ntime,strand,x,y\n0.0,0,0.5,0\n{row}\n1.0,0,0.5,0\n1.0,1,-0.5,0\n")
+        code, out, err = run_cli(capsys, command, "--trajectory", str(traj))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "InputError"
 
 
 class TestLpLength:

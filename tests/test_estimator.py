@@ -75,7 +75,7 @@ class TestEstimatePhi:
         flow = bump_flow()
         base = default_base(2)
         rng = chunk_rng(23, est_mod.TASK_PHI, 0)
-        configs = est_mod._sample_configs(rng, 200, 2)
+        configs = est_mod.sample_configs(rng, 200, 2)
         fast = est_mod._lk2_chunk_values(flow, LK, base, configs, 48)
         slow = [est_mod._phi_single(flow, LK, base, c, 48) for c in configs]
         assert fast == slow

@@ -1,14 +1,18 @@
 import json
 import math
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from discbraid.braids import make_word, power
 from discbraid.errors import InputError
+from discbraid import cli
 from discbraid.experiments import (
     Report,
+    battery,
     check_bilipschitz_disc,
     check_calabi_proportionality,
     check_crossing_bound,
@@ -189,3 +193,51 @@ class TestReport:
         rep = Report("demo", True, 1.25, {"extra": [1, 2]}, seed=9)
         doc = json.loads(rep.to_json())
         assert doc["check"] == "demo" and doc["passed"] and doc["seed"] == 9
+
+
+class TestBattery:
+    ACCEPTANCE_LABELS = [
+        "crossing-bound flow 0",
+        "crossing-bound flow 1",
+        "crossing-bound flow 2",
+        "word-length lk",
+        "word-length signature",
+        "signature-matrix",
+        "hs-family",
+        "bilipschitz",
+        "calabi-proportionality",
+        "lipschitz",
+    ]
+
+    def test_scales_cover_the_same_checks(self):
+        desk = [name for name, _, _ in battery("desk")]
+        acceptance = [name for name, _, _ in battery("acceptance")]
+        assert len(desk) == len(set(desk))  # one report per check at desk scale
+        assert set(desk) == set(acceptance)
+        assert [label for _, label, _ in battery("acceptance")] == self.ACCEPTANCE_LABELS
+
+    def test_unknown_scale(self):
+        with pytest.raises(InputError):
+            battery("huge")
+
+    def test_verify_all_runs_exactly_the_desk_names(self, monkeypatch, capsys):
+        ran = []
+
+        def recording_battery(*args, **kwargs):
+            return [
+                (name, label, lambda name=name: ran.append(name) or Report(name, True, 0.0))
+                for name, label, _ in battery(*args, **kwargs)
+            ]
+
+        monkeypatch.setattr(cli, "battery", recording_battery)
+        assert cli.main(["verify", "--all"]) == 0
+        assert ran == [name for name, _, _ in battery("desk")]
+        assert capsys.readouterr().out.count("PASS") == len(ran)
+
+    def test_run_verification_script_smoke(self, tmp_path, capsys):
+        script = runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"))
+        report = tmp_path / "report.json"
+        script["main"](["--samples", "256", "--lipschitz-samples", "48", "--out", str(report)])
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith(("PASS", "FAIL"))]
+        assert [line.split(" ", 1)[1].split(" (margin")[0] for line in lines] == self.ACCEPTANCE_LABELS
+        assert len(json.loads(report.read_text())) == len(self.ACCEPTANCE_LABELS)

@@ -254,3 +254,21 @@ class TestTrajectoryCsv:
             read_trajectory_csv("2,2\nnot,a,row\n")
         with pytest.raises(InputError):
             read_trajectory_csv("")
+
+    GOOD_CSV = "2,2\ntime,strand,x,y\n0.0,0,0.5,0\n0.0,1,-0.5,0\n1.0,0,0.5,0\n1.0,1,-0.5,0\n"
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("0.0,1,-0.5", "0.0,-1,-0.5"),  # negative strand index
+            ("1.0,1,", "1.0,5,"),  # strand index past the header's count
+            ("1.0,1,", "0.5,1,"),  # strands disagree on a sample time
+            ("1.0,0,0.5", "1.0,0,nan"),  # non-finite coordinate
+            ("1.0,1,", "1.0,0,"),  # one strand has more rows than the header
+            ("2,2\n", "-1,-2\n"),  # non-positive counts
+        ],
+    )
+    def test_inconsistent_rows_rejected(self, old, new):
+        read_trajectory_csv(self.GOOD_CSV)
+        with pytest.raises(InputError):
+            read_trajectory_csv(self.GOOD_CSV.replace(old, new, 1))
