@@ -30,6 +30,8 @@ def main() -> int:
     parser.add_argument("--scale", type=int, default=20, help="profile amplitude")
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
+    if args.tmax < 2:
+        parser.error("--tmax must be at least 2: the linear fit needs two time values")
 
     profile = polynomial_bump(Fraction(1, 4), Fraction(3, 4), args.scale)
     sig = signature_quasimorphism()

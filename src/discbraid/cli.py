@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -59,11 +60,24 @@ def _parse_point(text: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise InputError(f"point must be 'x,y', got {text!r}")
-    return (float(parts[0]), float(parts[1]))
+    try:
+        point = (float(parts[0]), float(parts[1]))
+    except ValueError:
+        raise InputError(f"point must be two numbers 'x,y', got {text!r}") from None
+    if not all(math.isfinite(v) for v in point):
+        raise InputError(f"point must be finite, got {text!r}")
+    return point
 
 
 def _parse_points(text: str):
     return np.array([_parse_point(chunk) for chunk in text.split(";")])
+
+
+def _parse_k_schedule(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise InputError(f"--k-schedule must be a comma list of integers, got {text!r}") from None
 
 
 def _load_flow(args):
@@ -106,6 +120,7 @@ def cmd_flow_apply(args) -> int:
 
 
 def cmd_braid_extract(args) -> int:
+    direction = _parse_point(args.direction)
     if args.trajectory:
         with open(args.trajectory) as fh:
             bundle = read_trajectory_csv(fh.read())
@@ -120,7 +135,6 @@ def cmd_braid_extract(args) -> int:
     if args.emit_trajectory:
         with open(args.emit_trajectory, "w") as fh:
             fh.write(write_trajectory_csv(bundle))
-    direction = _parse_point(args.direction)
     word = (
         loop_braid(bundle, direction)
         if bundle.is_loop()
@@ -163,9 +177,7 @@ def cmd_invariant(args) -> int:
 def cmd_estimate(args) -> int:
     flow = _load_flow(args)
     phi = _phi_by_name(args.phi, args.i, args.j)
-    k_schedule = (
-        tuple(int(tok) for tok in args.k_schedule.split(",")) if args.k_schedule else None
-    )
+    k_schedule = _parse_k_schedule(args.k_schedule) if args.k_schedule else None
     _print_config(
         args,
         "estimate",

@@ -79,6 +79,10 @@ class RadialProfile:
         return Fraction(evaluate(self.pieces[-1], y))
 
     def derivative(self) -> "RadialProfile":
+        return self._derivative
+
+    @cached_property
+    def _derivative(self) -> "RadialProfile":
         return RadialProfile(
             self.breakpoints,
             tuple(derivative(p) for p in self.pieces),

@@ -9,14 +9,15 @@ invariance battery in the tests: closure signature must survive conjugation,
 word reversal, mirror negation, and Markov stabilization, and reproduce the
 standard (2,m) torus-link values).
 
-Signatures are computed over exact rationals; floating-point inertia is not
-trusted anywhere near a zero eigenvalue.
+Signatures are computed by exact integer fraction-free elimination;
+floating-point inertia is not trusted anywhere near a zero eigenvalue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .braids import BraidWord
 from .errors import InputError
@@ -90,21 +91,42 @@ def matrix_signature(rows) -> int:
     """Signature (p - q of the inertia) of a symmetric matrix, exactly.
 
     Accepts any square nested sequence of ints/Fractions; entries are
-    checked for symmetry.  Uses symmetric Gauss elimination (congruence
-    transformations) over rationals, with the standard fix for an all-zero
-    diagonal: fold one row/column into another to expose a pivot.
+    checked for symmetry.  Rational input is first scaled by the positive
+    lcm of its denominators, which keeps the inertia, so the elimination
+    runs on integers only.  It is symmetric fraction-free (Bareiss)
+    elimination by congruence: after each step the active block is d times
+    the true Schur complement, d the previous pivot, so every division is
+    exact and the true pivot p/d has the sign of p*d.  Rows with nothing to
+    eliminate keep a pending scale instead of being rewritten, so long
+    sparse (banded) Seifert matrices cost O(n^2), not O(n^3).  An all-zero
+    diagonal is fixed by folding one row/column into another to expose a
+    pivot.
     """
-    work = [[Fraction(x) for x in row] for row in rows]
+    work = [list(row) for row in rows]
     n = len(work)
     for row in work:
         if len(row) != n:
             raise InputError("matrix is not square")
+    if not all(type(x) is int for row in work for x in row):
+        work = [[Fraction(x) for x in row] for row in work]
+        lcd = lcm(*(x.denominator for row in work for x in row))
+        work = [[x.numerator * (lcd // x.denominator) for x in row] for row in work]
     for r in range(n):
         for c in range(r + 1, n):
             if work[r][c] != work[c][r]:
                 raise InputError("matrix is not symmetric")
 
-    pos = neg = 0
+    signature = 0
+    d = 1
+    # A row whose pivot-column entry is zero only gains the factor p/d in a
+    # step; it is left alone and its true entries are stored * d / scale[r].
+    scale = [1] * n
+
+    def settle(r):
+        if scale[r] != d:
+            work[r] = [x * d // scale[r] for x in work[r]]
+            scale[r] = d
+
     k = 0
     while k < n:
         pivot_row = next((i for i in range(k, n) if work[i][i] != 0), None)
@@ -121,6 +143,8 @@ def matrix_signature(rows) -> int:
             if hyper is None:
                 break  # remaining block is zero
             i, j = hyper
+            settle(i)
+            settle(j)
             # Congruence: add row/col j into row/col i, making work[i][i] != 0.
             for c in range(k, n):
                 work[i][c] += work[j][c]
@@ -129,28 +153,26 @@ def matrix_signature(rows) -> int:
             pivot_row = i
         if pivot_row != k:
             work[k], work[pivot_row] = work[pivot_row], work[k]
-            for r in range(n):
+            scale[k], scale[pivot_row] = scale[pivot_row], scale[k]
+            for r in range(k, n):
                 work[r][k], work[r][pivot_row] = work[r][pivot_row], work[r][k]
-        pivot = work[k][k]
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
+        settle(k)
+        row_k = work[k]
+        p = row_k[k]
+        signature += 1 if (p > 0) == (d > 0) else -1
+        # Rows and columns up to k are finished and never read again.
+        tail_k = row_k[k + 1 :]
         for r in range(k + 1, n):
-            factor = work[r][k] / pivot
-            if factor == 0:
+            if work[r][k] == 0:
                 continue
-            row_r, row_k = work[r], work[k]
-            for c in range(k, n):
-                if row_k[c] != 0:
-                    row_r[c] -= factor * row_k[c]
-        # Mirror the column elimination implicitly: zero out the pivot column
-        # entries so later symmetry bookkeeping stays consistent.
-        for r in range(k + 1, n):
-            work[k][r] = Fraction(0)
-            work[r][k] = Fraction(0)
+            settle(r)
+            row_r = work[r]
+            f = row_r[k]
+            row_r[k + 1 :] = [(p * x - f * y) // d for x, y in zip(row_r[k + 1 :], tail_k)]
+            scale[r] = p
+        d = p
         k += 1
-    return pos - neg
+    return signature
 
 
 def braid_signature(a: BraidWord) -> int:

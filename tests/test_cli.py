@@ -138,6 +138,26 @@ class TestBraidExtract:
         assert json.loads(err)["error"] == "InputError"
 
 
+class TestMalformedNumbers:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flow-apply", "--point", "a,0"],
+            ["flow-apply", "--point", "nan,0"],
+            ["braid-extract", "--start", "0.5,0;b,0"],
+            ["braid-extract", "--start", "0.5,0;-0.5,0", "--base", "0.5,0;x,y"],
+            ["braid-extract", "--start", "0.5,0;-0.5,0", "--direction", "1,z"],
+            ["estimate", "--phi", "lk", "--n", "2", "--samples", "8", "--k-schedule", "1,x"],
+        ],
+        ids=["point", "point-nan", "start", "base", "direction", "k-schedule"],
+    )
+    def test_bad_number_is_input_error(self, capsys, rotation_flow_file, argv):
+        code, out, err = run_cli(capsys, *argv, "--flow", rotation_flow_file)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "InputError"
+        assert "Traceback" not in err
+
+
 class TestLpLength:
     def test_analytic(self, capsys, bump_flow_file):
         code, out, _ = run_cli(capsys, "lp-length", "--flow", bump_flow_file, "--p", "2")

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import runpy
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -179,6 +182,17 @@ class TestMonteCarloChecks:
         assert min(d["ratios"]) > 0
         assert len(d["lengths"]) == 6
         assert min(m for m in rep.details["ratios"]) > 0
+
+    @pytest.mark.parametrize("tmax", ["1", "0"])
+    def test_lipschitz_scan_rejects_a_single_time(self, tmax):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "lipschitz_scan.py"), "--tmax", tmax],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "--tmax" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_lipschitz_needs_three_members(self):
         prof = polynomial_bump(Fraction(1, 4), Fraction(3, 4), 20)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,62 @@ def random_word(rng, n, length):
     return make_word(
         [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(length)], n
     )
+
+
+def fraction_gauss_signature(rows) -> int:
+    """Reference: symmetric Gauss elimination over Fractions, with the fold."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    n = len(work)
+    pos = neg = 0
+    k = 0
+    while k < n:
+        pivot_row = next((i for i in range(k, n) if work[i][i] != 0), None)
+        if pivot_row is None:
+            hyper = next(
+                ((i, j) for i in range(k, n) for j in range(i + 1, n) if work[i][j] != 0),
+                None,
+            )
+            if hyper is None:
+                break
+            i, j = hyper
+            for c in range(k, n):
+                work[i][c] += work[j][c]
+            for r in range(k, n):
+                work[r][i] += work[r][j]
+            pivot_row = i
+        if pivot_row != k:
+            work[k], work[pivot_row] = work[pivot_row], work[k]
+            for r in range(n):
+                work[r][k], work[r][pivot_row] = work[r][pivot_row], work[r][k]
+        pivot = work[k][k]
+        if pivot > 0:
+            pos += 1
+        else:
+            neg += 1
+        for r in range(k + 1, n):
+            factor = work[r][k] / pivot
+            if factor != 0:
+                for c in range(k, n):
+                    work[r][c] -= factor * work[k][c]
+        for r in range(k + 1, n):
+            work[k][r] = work[r][k] = Fraction(0)
+        k += 1
+    return pos - neg
+
+
+@st.composite
+def symmetric_matrices(draw, entries):
+    """Up to 10x10, sparse, diagonal mostly zero, so that the fold, zero
+    blocks and rows left with a pending scale all occur."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            m[i][i] = draw(entries)
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                m[i][j] = m[j][i] = draw(entries)
+    return m
 
 
 class TestSeifertMatrix:
@@ -52,6 +109,12 @@ class TestMatrixSignature:
     def test_hyperbolic_plane(self):
         assert matrix_signature([[0, 5], [5, 0]]) == 0
 
+    def test_fold_of_rows_with_different_pending_scales(self):
+        # row 3 is eliminated at the first pivot, row 2 is not; the fold
+        # must bring both to the same scale before adding them
+        m = [[-2, 0, 0, 0], [0, 0, 0, 2], [0, 0, 0, 3], [0, 2, 3, 0]]
+        assert matrix_signature(m) == fraction_gauss_signature(m) == -1
+
     def test_requires_symmetry(self):
         with pytest.raises(InputError):
             matrix_signature([[0, 1], [0, 0]])
@@ -89,6 +152,16 @@ class TestMatrixSignature:
             return  # float oracle unreliable at a kernel; exact path is the point
         oracle = int(np.sum(eigs > 0) - np.sum(eigs < 0))
         assert matrix_signature(sym) == oracle
+
+    @given(symmetric_matrices(st.integers(min_value=-3, max_value=3)))
+    @settings(max_examples=300, deadline=None)
+    def test_integer_matches_fraction_reference(self, m):
+        assert matrix_signature(m) == fraction_gauss_signature(m)
+
+    @given(symmetric_matrices(st.fractions(min_value=-3, max_value=3, max_denominator=7)))
+    @settings(max_examples=100, deadline=None)
+    def test_rational_matches_fraction_reference(self, m):
+        assert matrix_signature(m) == fraction_gauss_signature(m)
 
 
 class TestBraidSignature:
@@ -158,3 +231,15 @@ class TestBraidSignature:
             n = rng.choice([2, 3, 4])
             w = random_word(rng, n, rng.randint(0, 10))
             assert braid_signature(w.mirror()) == -braid_signature(w)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_long_words_match_fraction_reference(self, data):
+        # draw the length first: plain st.lists rarely passes 20 letters
+        length = data.draw(st.integers(min_value=0, max_value=80))
+        letters = data.draw(
+            st.lists(st.sampled_from([1, 2, -1, -2]), min_size=length, max_size=length)
+        )
+        w = make_word(letters, 3)
+        expected = fraction_gauss_signature(seifert_matrix(w).symmetrized())
+        assert braid_signature(w) == expected
