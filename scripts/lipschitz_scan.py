@@ -13,9 +13,8 @@ import argparse
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from discbraid.estimator import estimate_phi_tilde_n
+from discbraid.experiments import linear_fit
 from discbraid.flows import lp_length_radial, make_flow
 from discbraid.profiles import polynomial_bump
 from discbraid.quasimorphisms import signature_quasimorphism
@@ -32,6 +31,8 @@ def main() -> int:
     args = parser.parse_args()
     if args.tmax < 2:
         parser.error("--tmax must be at least 2: the linear fit needs two time values")
+    if args.scale == 0:
+        parser.error("--scale must be nonzero: a zero profile has zero length")
 
     profile = polynomial_bump(Fraction(1, 4), Fraction(3, 4), args.scale)
     sig = signature_quasimorphism()
@@ -49,11 +50,7 @@ def main() -> int:
             f"{t:>3} {length:>10.4f} {est.value:>12.4f} {est.std_error:>9.4f} "
             f"{abs(est.value) / length:>8.4f}"
         )
-    xs = np.array([r[0] for r in rows])
-    ys = np.array([r[1] for r in rows])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
-    r2 = 1 - float(np.sum(resid**2)) / float(np.sum((ys - ys.mean()) ** 2))
+    slope, intercept, r2 = linear_fit(*zip(*rows))
     print(f"linear fit: estimate = {slope:.4f} * length {intercept:+.4f}   R^2 = {r2:.5f}")
     return 0
 

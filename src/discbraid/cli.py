@@ -1,9 +1,12 @@
 """Command-line entry point.
 
-Every run prints the resolved configuration first, then the result.  All
-randomness flows from --seed through the fixed per-task derivation scheme,
-so identical invocations produce identical bytes, and --threads never
-changes numeric output (sample chunks are merged in index order).
+Every run prints the resolved configuration first, then the result.  The
+configuration line is printed only once the arguments have been validated
+(for every command but verify, once the result is computed), so an input
+error leaves stdout empty.  All randomness flows from --seed through the
+fixed per-task derivation scheme, so identical invocations produce
+identical bytes, and --threads never changes numeric output (sample chunks
+are merged in index order).
 """
 
 from __future__ import annotations
@@ -113,8 +116,8 @@ def _phi_by_name(name: str, i: int, j: int):
 def cmd_flow_apply(args) -> int:
     flow = _load_flow(args)
     point = _parse_point(args.point)
-    _print_config(args, "flow-apply", {"point": list(point), "polar": args.polar})
     image = radial_flow_apply(flow, point, polar=args.polar)
+    _print_config(args, "flow-apply", {"point": list(point), "polar": args.polar})
     _emit(args, {"point": list(point), "image": [image[0], image[1]]})
     return 0
 
@@ -131,7 +134,6 @@ def cmd_braid_extract(args) -> int:
         base = _parse_points(args.base) if args.base else default_base(len(start))
         bundle = gg_loop(base, start, flow, args.samples_per_segment)
         source = {"start": args.start, "base": args.base}
-    _print_config(args, "braid-extract", source)
     if args.emit_trajectory:
         with open(args.emit_trajectory, "w") as fh:
             fh.write(write_trajectory_csv(bundle))
@@ -140,37 +142,36 @@ def cmd_braid_extract(args) -> int:
         if bundle.is_loop()
         else extract_braid_auto(bundle, direction)
     )
+    _print_config(args, "braid-extract", source)
     sys.stdout.write(format_braid_text(word))
     return 0
 
 
 def cmd_invariant(args) -> int:
     word = _load_word(args)
+    if args.kind == "lk":
+        phi = linking_quasimorphism(args.i, args.j)
+        payload = {"kind": "lk", "i": args.i, "j": args.j, "value": int(phi(word))}
+    elif args.kind == "signature":
+        payload = {"kind": "signature", "value": braid_signature(word)}
+    elif args.kind == "homogenized":
+        phi = _phi_by_name(args.phi, args.i, args.j)
+        hom = homogenize(phi, word, args.k_max)
+        payload = {
+            "kind": f"homogenized-{args.phi}",
+            "value": float(hom.value),
+            "value_exact": [hom.value.numerator, hom.value.denominator],
+            "error_bound": None if hom.error_bound is None else float(hom.error_bound),
+            "k_used": hom.k_used,
+        }
+    else:
+        raise InputError(f"unknown invariant {args.kind!r}")
     _print_config(
         args,
         "invariant",
         {"kind": args.kind, "strands": word.strands, "letters": len(word.letters)},
     )
-    if args.kind == "lk":
-        phi = linking_quasimorphism(args.i, args.j)
-        _emit(args, {"kind": "lk", "i": args.i, "j": args.j, "value": int(phi(word))})
-    elif args.kind == "signature":
-        _emit(args, {"kind": "signature", "value": braid_signature(word)})
-    elif args.kind == "homogenized":
-        phi = _phi_by_name(args.phi, args.i, args.j)
-        hom = homogenize(phi, word, args.k_max)
-        _emit(
-            args,
-            {
-                "kind": f"homogenized-{args.phi}",
-                "value": float(hom.value),
-                "value_exact": [hom.value.numerator, hom.value.denominator],
-                "error_bound": None if hom.error_bound is None else float(hom.error_bound),
-                "k_used": hom.k_used,
-            },
-        )
-    else:
-        raise InputError(f"unknown invariant {args.kind!r}")
+    _emit(args, payload)
     return 0
 
 
@@ -178,6 +179,8 @@ def cmd_estimate(args) -> int:
     flow = _load_flow(args)
     phi = _phi_by_name(args.phi, args.i, args.j)
     k_schedule = _parse_k_schedule(args.k_schedule) if args.k_schedule else None
+    estimate = partial(estimate_phi_tilde_n, k_schedule=k_schedule) if k_schedule else estimate_phi_n
+    est = estimate(flow, phi, args.n, samples=args.samples, seed=args.seed, threads=args.threads)
     _print_config(
         args,
         "estimate",
@@ -188,8 +191,6 @@ def cmd_estimate(args) -> int:
             "k_schedule": list(k_schedule) if k_schedule else None,
         },
     )
-    estimate = partial(estimate_phi_tilde_n, k_schedule=k_schedule) if k_schedule else estimate_phi_n
-    est = estimate(flow, phi, args.n, samples=args.samples, seed=args.seed, threads=args.threads)
     _emit(args, est.to_dict())
     return 0
 
@@ -198,31 +199,30 @@ def cmd_lp_length(args) -> int:
     if args.trajectory:
         with open(args.trajectory) as fh:
             bundle = read_trajectory_csv(fh.read())
-        _print_config(args, "lp-length", {"trajectory": args.trajectory, "p": args.p})
-        _emit(args, {"p": args.p, "value": lp_length_of_bundle(bundle, args.p), "upper_bound": True})
-        return 0
-    flow = _load_flow(args)
-    _print_config(args, "lp-length", {"p": args.p, "mode": args.mode})
-    if args.mode == "analytic":
-        value = lp_length_radial(flow, args.p)
-        _emit(args, {"p": args.p, "value": value, "upper_bound": True})
+        config = {"trajectory": args.trajectory, "p": args.p}
+        payload = {"p": args.p, "value": lp_length_of_bundle(bundle, args.p), "upper_bound": True}
     else:
-        est = lp_length_sampled(
-            flow,
-            args.p,
-            time_steps=args.time_steps,
-            space_samples=args.space_samples,
-            seed=args.seed,
-        )
-        payload = est.to_dict()
-        payload["upper_bound"] = True
-        _emit(args, payload)
+        flow = _load_flow(args)
+        config = {"p": args.p, "mode": args.mode}
+        if args.mode == "analytic":
+            payload = {"p": args.p, "value": lp_length_radial(flow, args.p), "upper_bound": True}
+        else:
+            est = lp_length_sampled(
+                flow,
+                args.p,
+                time_steps=args.time_steps,
+                space_samples=args.space_samples,
+                seed=args.seed,
+            )
+            payload = dict(est.to_dict(), upper_bound=True)
+    _print_config(args, "lp-length", config)
+    _emit(args, payload)
     return 0
 
 
 def cmd_make_hs(args) -> int:
-    _print_config(args, "make-hs", {"s": args.s})
     profile = make_hs_profile(Fraction(args.s))
+    _print_config(args, "make-hs", {"s": args.s})
     text = profile_to_json(profile)
     if args.out:
         with open(args.out, "w") as fh:
@@ -244,11 +244,12 @@ def cmd_verify(args) -> int:
     )
     runs = {name: run for name, _label, run in entries}
     names = list(runs) if args.all or args.checks is None else args.checks.split(",")
-    _print_config(args, "verify", {"checks": names, "samples": args.samples})
-    reports = []
     for name in names:
         if name not in runs:
             raise InputError(f"unknown check {name!r}")
+    _print_config(args, "verify", {"checks": names, "samples": args.samples})
+    reports = []
+    for name in names:
         rep = runs[name]()
         reports.append(rep)
         print(f"{'PASS' if rep.passed else 'FAIL'} {rep.check} margin={rep.margin:.6g}")

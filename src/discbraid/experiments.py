@@ -66,6 +66,7 @@ __all__ = [
     "check_signature_matrix",
     "check_hs_family",
     "check_calabi_proportionality",
+    "linear_fit",
 ]
 
 
@@ -219,13 +220,7 @@ def check_lipschitz(
     mean_ratio, ratio_margins = _ratio_margins(ratios, [s / l for s, l in zip(sigmas, lengths)])
 
     # linear fit of signed estimates against lengths (lengths scale with t)
-    xs = np.array(lengths)
-    ys = np.array([e.value for e in estimates])
-    coef = np.polyfit(xs, ys, 1)
-    residuals = ys - np.polyval(coef, xs)
-    ss_res = float(np.sum(residuals**2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    _, _, r_squared = linear_fit(lengths, [e.value for e in estimates])
 
     margin = min(fit_margins + ratio_margins)
     passed = margin >= 0.0 and r_squared >= 0.99
@@ -243,6 +238,19 @@ def check_lipschitz(
         },
         seed,
     )
+
+
+def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:
+    """Least-squares line ys ~ slope * xs + intercept: (slope, intercept, R^2).
+
+    R^2 is 1 when the ys do not vary (nothing is left to explain).
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    slope, intercept = np.polyfit(xs, ys, 1)
+    ss_res = float(np.sum((ys - np.polyval((slope, intercept), xs)) ** 2))
+    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    return float(slope), float(intercept), 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
 
 def _ratio_margins(ratios: Sequence[float], sigmas: Sequence[float]):

@@ -32,6 +32,7 @@ __all__ = [
     "calabi",
     "calabi_coefficient",
     "signature_moment",
+    "check_lp_exponent",
     "lp_length_radial",
     "lp_speed_moment_exact",
     "lp_length_exact_even",
@@ -156,6 +157,12 @@ def _derivative_integrand_pieces(profile: RadialProfile):
     return out
 
 
+def check_lp_exponent(p: float) -> None:
+    """Raise InputError unless p is finite and >= 1, the exponents of L^p lengths."""
+    if not (math.isfinite(p) and p >= 1):
+        raise InputError(f"p must be a finite number >= 1, got {p!r}")
+
+
 def lp_length_radial(spec: FlowSpec, p: float) -> float:
     """L^p length of the isotopy [0,1] ∋ s -> flow at time s*t, single term.
 
@@ -164,8 +171,7 @@ def lp_length_radial(spec: FlowSpec, p: float) -> float:
     evaluated by adaptive quadrature split at breakpoints and at the sign
     changes of h'.
     """
-    if p < 1:
-        raise InputError("p must be >= 1")
+    check_lp_exponent(p)
     if len(spec.terms) != 1:
         raise InputError("analytic L^p length covers single-term flows; sample instead")
     h, t = spec.terms[0]

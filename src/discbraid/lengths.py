@@ -6,7 +6,8 @@ integral may be taken over initial conditions, so the estimator tracks a
 fixed cloud of uniformly sampled points, differentiates their motion in
 time, and applies the trapezoid rule in t.  The time discretization is
 accepted only after a Richardson check: halving dt must move the value by
-less than 0.1%.
+less than 0.1%.  A radial flow's angular rate depends only on |x|^2, so
+``as_isotopy`` computes it once per cloud, not once per time evaluation.
 
 These lengths are upper bounds for the right-invariant metric (which is an
 infimum over all isotopies); every consumer in this package treats them as
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import InputError
 from .estimator import TASK_LP_SPACE, chunk_rng, sample_configs
-from .flows import FlowSpec
+from .flows import FlowSpec, check_lp_exponent
 from .loops import TrajectoryBundle
 
 __all__ = ["LengthEstimate", "holder_constant", "lp_length_sampled", "lp_length_of_bundle", "as_isotopy"]
@@ -50,19 +51,32 @@ def holder_constant(p: float) -> float:
     Instance of the Hoelder inequality on the disc of area pi: the L^1 norm
     of the velocity field is at most area^{1-1/p} times its L^p norm.
     """
-    if p < 1:
-        raise InputError("p must be >= 1")
+    check_lp_exponent(p)
     return math.pi ** (1.0 / p - 1.0)
 
 
 def as_isotopy(obj) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Adapt a FlowSpec (or pass through a callable) to t, points -> points."""
+    """Adapt a FlowSpec (or pass through a callable) to t, points -> points.
+
+    A radial flow turns each point by t times an angular rate that depends
+    only on |x|^2, so the rate is computed once per point cloud: the closure
+    keeps a private copy of the last points with their rates and reuses the
+    rates while the points compare equal (by value, so a caller that mutates
+    its array in place gets fresh rates).  The result is bitwise the same as
+    recomputing on every call.
+    """
     if isinstance(obj, FlowSpec):
+        memo = (np.empty((0, 2)), np.empty(0))  # (points, their rates)
 
         def apply(t: float, pts: np.ndarray) -> np.ndarray:
+            nonlocal memo
             pts = np.asarray(pts, dtype=float)
-            r2 = np.clip(np.sum(pts**2, axis=1), 0.0, 1.0)
-            dtheta = t * obj.angular_rate_float(r2)
+            seen, rate = memo
+            if not np.array_equal(pts, seen):
+                r2 = np.clip(np.sum(pts**2, axis=1), 0.0, 1.0)
+                rate = obj.angular_rate_float(r2)
+                memo = (pts.copy(), rate)
+            dtheta = t * rate
             c, s = np.cos(dtheta), np.sin(dtheta)
             return np.stack(
                 (c * pts[:, 0] - s * pts[:, 1], s * pts[:, 0] + c * pts[:, 1]), axis=1
@@ -89,8 +103,7 @@ def lp_length_sampled(
     grid; the reported standard error conservatively treats the per-time
     errors as fully correlated.
     """
-    if p < 1:
-        raise InputError("p must be >= 1")
+    check_lp_exponent(p)
     if time_steps < 2 or space_samples < 1:
         raise InputError("need time_steps >= 2 and space_samples >= 1")
     apply = as_isotopy(isotopy)
@@ -138,8 +151,7 @@ def lp_length_of_bundle(bundle: TrajectoryBundle, p: float) -> float:
     average over strands is scaled by the disc area so the number is
     comparable with the field-based length when the strands sample the disc.
     """
-    if p < 1:
-        raise InputError("p must be >= 1")
+    check_lp_exponent(p)
     pos = bundle.positions
     times = bundle.times
     value = 0.0

@@ -158,11 +158,73 @@ class TestMalformedNumbers:
         assert "Traceback" not in err
 
 
+class TestConfigAfterValidation:
+    """An input error leaves stdout empty: no '# config' line before it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--phi", "lk", "--n", "2", "--samples", "8", "--k-schedule", "2,1"],
+            ["estimate", "--phi", "lk", "--n", "2", "--samples", "8", "--k-schedule", "0,1"],
+            ["estimate", "--phi", "lk", "--n", "1", "--samples", "8"],
+            ["estimate", "--phi", "lk", "--n", "2", "--samples", "0"],
+            ["lp-length", "--mode", "sampled", "--space-samples", "0"],
+            ["lp-length", "--mode", "sampled", "--time-steps", "1"],
+            ["lp-length", "--mode", "sampled", "--p", "0.5"],
+            ["lp-length", "--p", "0.5"],
+            ["flow-apply", "--point", "2,0"],
+        ],
+        ids=[
+            "k-schedule-decreasing", "k-schedule-zero", "n-1", "samples-0",
+            "space-samples-0", "time-steps-1", "sampled-p-half", "analytic-p-half",
+            "point-outside-disc",
+        ],
+    )
+    def test_flow_command(self, capsys, rotation_flow_file, argv):
+        code, out, err = run_cli(capsys, *argv, "--flow", rotation_flow_file)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "InputError"
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["invariant", "lk", "--word", "1", "--strands", "2", "--j", "5"],
+            ["invariant", "homogenized", "--word", "1", "--strands", "2", "--k-max", "0"],
+            ["make-hs", "--s", "1/2"],
+            ["verify", "--checks", "hs-family,no-such-check"],
+        ],
+        ids=["lk-strand", "k-max-0", "hs-out-of-range", "unknown-check"],
+    )
+    def test_other_command(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "InputError"
+
+
 class TestLpLength:
     def test_analytic(self, capsys, bump_flow_file):
         code, out, _ = run_cli(capsys, "lp-length", "--flow", bump_flow_file, "--p", "2")
         assert code == 0
         assert payload_of(out)["upper_bound"] is True
+
+    @pytest.mark.parametrize("mode", ["analytic", "sampled"])
+    @pytest.mark.parametrize("p", ["nan", "inf", "-inf", "0.5"])
+    def test_p_must_be_finite_and_at_least_one(self, capsys, bump_flow_file, mode, p):
+        code, out, err = run_cli(
+            capsys, "lp-length", "--flow", bump_flow_file, f"--p={p}",
+            "--mode", mode, "--space-samples", "100",
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "InputError"
+        assert "Traceback" not in err
+
+    def test_trajectory_p_must_be_finite(self, capsys, tmp_path):
+        traj = tmp_path / "traj.csv"
+        traj.write_text("2,2\ntime,strand,x,y\n0.0,0,0.5,0\n0.0,1,-0.5,0\n1.0,0,0.5,0\n1.0,1,-0.5,0\n")
+        code, out, err = run_cli(capsys, "lp-length", "--trajectory", str(traj), "--p", "nan")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "InputError"
 
     def test_sampled_close_to_analytic(self, capsys, bump_flow_file):
         _, out_a, _ = run_cli(capsys, "lp-length", "--flow", bump_flow_file, "--p", "2")

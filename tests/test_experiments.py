@@ -23,6 +23,7 @@ from discbraid.experiments import (
     check_lipschitz,
     check_signature_matrix,
     check_word_length_bound,
+    linear_fit,
 )
 from discbraid.flows import make_flow
 from discbraid.profiles import RadialProfile, make_hs_profile, polynomial_bump
@@ -183,16 +184,32 @@ class TestMonteCarloChecks:
         assert len(d["lengths"]) == 6
         assert min(m for m in rep.details["ratios"]) > 0
 
-    @pytest.mark.parametrize("tmax", ["1", "0"])
-    def test_lipschitz_scan_rejects_a_single_time(self, tmax):
+    @staticmethod
+    def run_lipschitz_scan(*argv):
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        proc = subprocess.run(
-            [sys.executable, str(root / "scripts" / "lipschitz_scan.py"), "--tmax", tmax],
+        return subprocess.run(
+            [sys.executable, str(root / "scripts" / "lipschitz_scan.py"), *argv],
             capture_output=True, text=True, env=env, timeout=120,
         )
+
+    @pytest.mark.parametrize("tmax", ["1", "0"])
+    def test_lipschitz_scan_rejects_a_single_time(self, tmax):
+        proc = self.run_lipschitz_scan("--tmax", tmax)
         assert proc.returncode == 2
         assert "--tmax" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_lipschitz_scan_rejects_a_zero_profile(self):
+        proc = self.run_lipschitz_scan("--scale", "0")
+        assert proc.returncode == 2
+        assert "--scale" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_lipschitz_scan_prints_the_fit(self):
+        proc = self.run_lipschitz_scan("--tmax", "3", "--samples", "40", "--scale", "-20")
+        assert proc.returncode == 0, proc.stderr
+        fit = proc.stdout.splitlines()[-1]
+        assert fit.startswith("linear fit: estimate = ")
+        assert 0.0 <= float(fit.rsplit("R^2 = ", 1)[1]) <= 1.0
 
     def test_lipschitz_needs_three_members(self):
         prof = polynomial_bump(Fraction(1, 4), Fraction(3, 4), 20)
@@ -200,6 +217,28 @@ class TestMonteCarloChecks:
             check_lipschitz(
                 [make_flow([(prof, 1)])], signature_quasimorphism(), 3, p=2
             )
+
+
+class TestLinearFit:
+    def test_exact_line(self):
+        slope, intercept, r2 = linear_fit([1.0, 2.0, 4.0], [1.0, 3.0, 7.0])
+        assert slope == pytest.approx(2.0) and intercept == pytest.approx(-1.0)
+        assert r2 == pytest.approx(1.0)
+
+    def test_constant_values_explain_everything(self):
+        slope, intercept, r2 = linear_fit([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
+        assert slope == pytest.approx(0.0, abs=1e-12) and intercept == pytest.approx(5.0)
+        assert r2 == 1.0
+
+    def test_matches_the_textbook_formula(self):
+        xs = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        ys = np.array([1.1, 1.9, 3.2, 3.8, 5.3])
+        slope, intercept, r2 = linear_fit(xs, ys)
+        xc, yc = xs - xs.mean(), ys - ys.mean()
+        assert slope == pytest.approx(float(xc @ yc / (xc @ xc)))
+        assert intercept == pytest.approx(ys.mean() - slope * xs.mean())
+        resid = ys - (slope * xs + intercept)
+        assert r2 == pytest.approx(1 - float(resid @ resid) / float(yc @ yc))
 
 
 class TestReport:

@@ -6,7 +6,7 @@ import pytest
 
 from discbraid.errors import InputError
 from discbraid.estimator import chunk_rng
-from discbraid.flows import lp_length_radial, make_flow
+from discbraid.flows import FlowSpec, lp_length_radial, make_flow
 from discbraid.lengths import (
     as_isotopy,
     holder_constant,
@@ -21,6 +21,29 @@ def rotation_flow(alpha_frac):
     return make_flow([(rotation_profile(alpha_frac), 1)], validate=False)
 
 
+def bump_flow(t=3):
+    return make_flow([(polynomial_bump(Fraction(1, 4), Fraction(3, 4), 30), t)])
+
+
+def rotate_by_formula(flow, t, pts):
+    """The radial flow at time t, recomputing the angular rate on every call."""
+    pts = np.asarray(pts, dtype=float)
+    r2 = np.clip(np.sum(pts**2, axis=1), 0.0, 1.0)
+    dtheta = t * flow.angular_rate_float(r2)
+    c, s = np.cos(dtheta), np.sin(dtheta)
+    return np.stack((c * pts[:, 0] - s * pts[:, 1], s * pts[:, 0] + c * pts[:, 1]), axis=1)
+
+
+def disc_cloud(seed, size):
+    rng = np.random.default_rng(seed)
+    r = np.sqrt(rng.uniform(0, 1, size))
+    theta = rng.uniform(0, 2 * math.pi, size)
+    return np.stack((r * np.cos(theta), r * np.sin(theta)), axis=1)
+
+
+BAD_P = [0.5, 0.0, -1.0, math.nan, math.inf, -math.inf]
+
+
 class TestHolderConstant:
     def test_p1_equality_case(self):
         assert holder_constant(1) == 1.0
@@ -31,6 +54,86 @@ class TestHolderConstant:
     def test_validation(self):
         with pytest.raises(InputError):
             holder_constant(0.5)
+
+
+class TestExponentValidation:
+    @pytest.mark.parametrize("p", BAD_P)
+    def test_every_length_rejects(self, p):
+        flow = bump_flow()
+        bundle = TrajectoryBundle(np.linspace(0, 1, 3), np.zeros((2, 3, 2)))
+        for call in (
+            lambda: holder_constant(p),
+            lambda: lp_length_sampled(flow, p, space_samples=100),
+            lambda: lp_length_of_bundle(bundle, p),
+            lambda: lp_length_radial(flow, p),
+        ):
+            with pytest.raises(InputError):
+                call()
+
+
+class TestRateMemo:
+    """as_isotopy computes a cloud's rate once and stays bitwise the formula."""
+
+    TIMES = [0.0, 0.25, -0.01, 1.0, 1.01]
+
+    def test_repeated_calls_on_one_cloud(self):
+        flow = bump_flow()
+        apply = as_isotopy(flow)
+        cloud = disc_cloud(1, 500)
+        for t in self.TIMES + self.TIMES:
+            assert np.array_equal(apply(t, cloud), rotate_by_formula(flow, t, cloud))
+
+    def test_two_clouds_alternating(self):
+        flow = bump_flow()
+        apply = as_isotopy(flow)
+        clouds = [disc_cloud(2, 400), disc_cloud(3, 400)]
+        for t in self.TIMES:
+            for cloud in clouds + clouds[::-1]:
+                assert np.array_equal(apply(t, cloud), rotate_by_formula(flow, t, cloud))
+
+    def test_cloud_mutated_in_place(self):
+        flow = bump_flow()
+        apply = as_isotopy(flow)
+        cloud = disc_cloud(4, 300)
+        before = apply(0.5, cloud)
+        cloud *= 0.6  # new radii, so a stale rate would move every point wrongly
+        after = apply(0.5, cloud)
+        assert np.array_equal(after, rotate_by_formula(flow, 0.5, cloud))
+        assert not np.array_equal(after, 0.6 * before)
+        cloud[0] = (0.1, 0.2)  # one changed point is enough
+        assert np.array_equal(apply(0.5, cloud), rotate_by_formula(flow, 0.5, cloud))
+
+    def test_clouds_of_different_sizes(self):
+        flow = bump_flow()
+        apply = as_isotopy(flow)
+        for size in (1, 7, 300, 0, 7, 2000):
+            cloud = disc_cloud(size, size)
+            for t in (0.3, 0.7):
+                got = apply(t, cloud)
+                assert got.shape == (size, 2)
+                assert np.array_equal(got, rotate_by_formula(flow, t, cloud))
+
+    def test_rate_computed_once_per_cloud(self, monkeypatch):
+        calls = []
+        original = FlowSpec.angular_rate_float
+
+        def counting(self, y):
+            calls.append(len(y))
+            return original(self, y)
+
+        monkeypatch.setattr(FlowSpec, "angular_rate_float", counting)
+        lp_length_sampled(bump_flow(), 2, space_samples=500, seed=1)
+        assert calls == [500]
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_sampled_length_unchanged(self, p):
+        flow = bump_flow()
+        memoized = lp_length_sampled(flow, p, space_samples=3000, seed=6)
+        recomputed = lp_length_sampled(
+            lambda t, pts: rotate_by_formula(flow, t, pts), p, space_samples=3000, seed=6
+        )
+        assert memoized.value == recomputed.value
+        assert memoized.std_error == recomputed.std_error
 
 
 class TestLpLengthSampled:
