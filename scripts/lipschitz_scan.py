@@ -13,9 +13,10 @@ import argparse
 import sys
 from fractions import Fraction
 
+from discbraid.errors import InputError
 from discbraid.estimator import estimate_phi_tilde_n
 from discbraid.experiments import linear_fit
-from discbraid.flows import lp_length_radial, make_flow
+from discbraid.flows import check_lp_exponent, lp_length_radial, make_flow
 from discbraid.profiles import polynomial_bump
 from discbraid.quasimorphisms import signature_quasimorphism
 
@@ -33,6 +34,10 @@ def main() -> int:
         parser.error("--tmax must be at least 2: the linear fit needs two time values")
     if args.scale == 0:
         parser.error("--scale must be nonzero: a zero profile has zero length")
+    try:
+        check_lp_exponent(args.p)
+    except InputError as exc:
+        parser.error(f"--p: {exc}")
 
     profile = polynomial_bump(Fraction(1, 4), Fraction(3, 4), args.scale)
     sig = signature_quasimorphism()

@@ -72,6 +72,13 @@ def _parse_point(text: str):
     return point
 
 
+def _parse_fraction(text: str, flag: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"{flag} must be a rational number such as 7/24, got {text!r}") from None
+
+
 def _parse_points(text: str):
     return np.array([_parse_point(chunk) for chunk in text.split(";")])
 
@@ -90,7 +97,8 @@ def _load_flow(args):
     if args.profile:
         with open(args.profile) as fh:
             profile = profile_from_json(fh.read())
-        return make_flow([(profile, Fraction(args.time))], validate=not args.unchecked)
+        time = _parse_fraction(args.time, "--time")
+        return make_flow([(profile, time)], validate=not args.unchecked)
     raise InputError("need --flow FILE or --profile FILE")
 
 
@@ -221,7 +229,7 @@ def cmd_lp_length(args) -> int:
 
 
 def cmd_make_hs(args) -> int:
-    profile = make_hs_profile(Fraction(args.s))
+    profile = make_hs_profile(_parse_fraction(args.s, "--s"))
     _print_config(args, "make-hs", {"s": args.s})
     text = profile_to_json(profile)
     if args.out:

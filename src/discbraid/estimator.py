@@ -5,6 +5,11 @@ braid quasi-morphism evaluated on the loop braid of the flow; the sampling
 measure is the uniform product measure on the disc power, so estimates are
 the sample mean scaled by pi^n.
 
+A linking number lk[i,j], at any n and for any pair, is the number of
+turns of x_i - x_j around the loop, which ``loops.loop_winding`` gives in
+closed form for a whole chunk.  The signature has no closed form and goes
+through braid extraction, one configuration at a time.
+
 Reproducibility contract: all randomness is derived from one user seed via
 (seed, task, chunk) keyed generators over fixed-size chunks, and partial
 results are merged in chunk order.  The same seed therefore gives bitwise
@@ -29,6 +34,7 @@ from .loops import (
     closest_pair,
     gg_loop,
     loop_braid,
+    loop_winding,
 )
 from .quasimorphisms import QuasimorphismSpec, spec_from_pool_key
 
@@ -111,93 +117,21 @@ def config_loop(
         return None
 
 
-def _phi_single(
-    flow: FlowSpec,
-    phi: QuasimorphismSpec,
-    base: np.ndarray,
-    config: np.ndarray,
-    samples_per_segment: int,
-):
-    """phi on the loop braid of one configuration, or None when rejected."""
-    loop = config_loop(flow, base, config, samples_per_segment)
-    return None if loop is None else float(phi(loop[1]))
+def _linking_pair(phi: QuasimorphismSpec, n: int):
+    """0-based strands of a linking spec, checked against n; None for others."""
+    if phi.pool_key is None or phi.pool_key[0] != "lk":
+        return None
+    i, j = phi.pool_key[1:]
+    if i == j or not (1 <= i <= n and 1 <= j <= n):
+        raise InputError(f"{phi.name} needs two distinct strands in 1..{n}")
+    return i - 1, j - 1
 
 
-def _lk2_chunk_values(
-    flow: FlowSpec,
-    phi: QuasimorphismSpec,
-    base: np.ndarray,
-    configs: np.ndarray,
-    samples_per_segment: int,
-):
-    """Vectorized two-strand linking values; None entries mean 'rejected'.
-
-    Computes, for every configuration at once, the same signed crossing
-    count / 2 that braid extraction plus ``linking_number`` produces (the
-    default projection direction never has to be perturbed for generic
-    data; samples that hit a projection tie are recomputed through the
-    generic path so results agree bitwise with it).
-    """
-    m = samples_per_segment
-    count = configs.shape[0]
-    values: list = [None] * count
-    sep = np.hypot(
-        configs[:, 0, 0] - configs[:, 1, 0], configs[:, 0, 1] - configs[:, 1, 1]
-    )
-    keep = np.nonzero(sep >= MIN_SEPARATION)[0]
-    if keep.size == 0:
-        return values
-
-    # cap the working-array footprint for finely sampled (large-k) flows
-    rows_per_slice = max(1, 2_000_000 // (3 * m + 1))
-    if keep.size > rows_per_slice:
-        for start in range(0, keep.size, rows_per_slice):
-            part = _lk2_chunk_values(
-                flow, phi, base, configs[keep[start : start + rows_per_slice]], m
-            )
-            for offset, val in enumerate(part):
-                values[keep[start + offset]] = val
-        return values
-
-    from .flows import flow_path
-
-    x = configs[keep]  # (K, 2, 2)
-    K = x.shape[0]
-    s = np.linspace(0.0, 1.0, m + 1)
-    z = base[None, :, None, :]
-    seg1 = z + (x[:, :, None, :] - z) * s[None, None, :, None]
-    orbit = flow_path(flow, x.reshape(-1, 2), s).reshape(K, 2, m + 1, 2)
-    gx = orbit[:, :, -1:, :]
-    seg3 = gx + (base[None, :, None, :] - gx) * s[None, None, :, None]
-    pos = np.concatenate((seg1, orbit[:, :, 1:, :], seg3[:, :, 1:, :]), axis=2)
-
-    rel = pos[:, 0] - pos[:, 1]  # (K, T, 2)
-    dist2 = rel[..., 0] ** 2 + rel[..., 1] ** 2
-    coincident = np.any(dist2 < COINCIDENCE_THRESHOLD**2, axis=1)
-
-    d = rel[..., 0]  # projection gap along (1, 0)
-    tied = np.any(d == 0.0, axis=1)
-    d0, d1 = d[:, :-1], d[:, 1:]
-    flips = (d0 < 0) != (d1 < 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tau = np.where(flips, d0 / (d0 - d1), 0.0)
-    relp = rel[..., 1]
-    rel_perp = relp[:, :-1] + (relp[:, 1:] - relp[:, :-1]) * tau
-    # orient so the reference strand is the one on the left before the swap
-    left_is_zero = d0 < 0
-    oriented = np.where(left_is_zero, rel_perp, -rel_perp)
-    tied |= np.any(flips & (oriented == 0.0), axis=1)
-    signs = np.where(flips, np.where(oriented < 0, 1.0, -1.0), 0.0)
-    lk = signs.sum(axis=1) / 2.0
-
-    for row, idx in enumerate(keep):
-        if coincident[row]:
-            continue  # generic path rejects these too
-        if tied[row]:
-            values[idx] = _phi_single(flow, phi, base, configs[idx], m)
-        else:
-            values[idx] = float(lk[row])
-    return values
+def _separated(configs: np.ndarray) -> np.ndarray:
+    """Mask of configurations whose closest pair is MIN_SEPARATION or more apart."""
+    a, b = np.triu_indices(configs.shape[1], 1)
+    rel = configs[:, a] - configs[:, b]
+    return np.hypot(rel[..., 0], rel[..., 1]).min(axis=1) >= MIN_SEPARATION
 
 
 def _phi_chunk(
@@ -208,34 +142,23 @@ def _phi_chunk(
     seed: int,
     chunk: int,
     count: int,
-    samples_per_segment: int,
+    samples_per_segment: Optional[int],
 ) -> tuple[float, float, int, int]:
     """Accumulate (sum, sum of squares, accepted, rejected) for one chunk."""
     rng = chunk_rng(seed, TASK_PHI, chunk)
     configs = sample_configs(rng, count, n)
-    fast_lk2 = (
-        n == 2
-        and phi.pool_key is not None
-        and phi.pool_key[0] == "lk"
-        and set(phi.pool_key[1:]) == {1, 2}
-    )
-    if fast_lk2:
-        values = _lk2_chunk_values(flow, phi, base, configs, samples_per_segment)
+    pair = _linking_pair(phi, n)
+    if pair is None:
+        loops = (config_loop(flow, base, c, samples_per_segment) for c in configs)
+        values = [float(phi(loop[1])) for loop in loops if loop is not None]
     else:
-        values = [
-            _phi_single(flow, phi, base, config, samples_per_segment)
-            for config in configs
-        ]
+        turns = loop_winding(flow, base, configs[_separated(configs)], *pair)
+        values = np.rint(turns[~np.isnan(turns)]).tolist()
     total = total_sq = 0.0
-    accepted = rejected = 0
     for val in values:
-        if val is None:
-            rejected += 1
-            continue
         total += val
         total_sq += val * val
-        accepted += 1
-    return total, total_sq, accepted, rejected
+    return total, total_sq, len(values), count - len(values)
 
 
 def _phi_chunk_task(payload):
@@ -257,9 +180,11 @@ def estimate_phi_n(
     """Estimate the configuration integral of phi over loop braids of the flow.
 
     Configurations are uniform on the disc power; tuples with a pair closer
-    than the separation threshold, or whose extraction stays degenerate
-    after direction perturbations, are rejected and counted.  The value is
-    the accepted-sample mean scaled by pi^n.
+    than the separation threshold are rejected and counted, and so are, for
+    a linking spec, those whose linked pair comes within the coincidence
+    threshold along the loop, and otherwise those whose extraction stays
+    degenerate after direction perturbations.  The value is the
+    accepted-sample mean scaled by pi^n.
     """
     if n < 2:
         raise InputError("need n >= 2 marked points")
@@ -268,8 +193,10 @@ def estimate_phi_n(
     base = default_base(n) if base is None else np.asarray(base, dtype=float)
     if base.shape != (n, 2):
         raise InputError(f"base must be ({n}, 2), got {base.shape}")
-    if samples_per_segment is None:
-        samples_per_segment = max(32, int(math.ceil(8.0 * flow.rotation_bound)))
+    d, i, j = closest_pair(base)
+    if d < COINCIDENCE_THRESHOLD:
+        raise InputError(f"base points {i} and {j} coincide")
+    _linking_pair(phi, n)
 
     chunks = []
     start = 0

@@ -13,6 +13,10 @@ order, with the sign determined by the planar orientation of the swap
 consecutive samples assuming linear motion; non-generic projections raise
 a degeneracy error carrying the event time so callers can perturb the
 direction and retry.
+
+``loop_winding`` gives the turns of one pair x_i - x_j around the loop,
+the linking number lk[i,j] of its braid, exactly and without samples: the
+lines are straight and a radial orbit turns each point at a constant rate.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "TrajectoryBundle",
     "closest_pair",
     "gg_loop",
+    "loop_winding",
     "extract_braid",
     "extract_braid_auto",
     "loop_braid",
@@ -124,6 +129,60 @@ def gg_loop(
     positions = np.concatenate((seg1, orbit[:, 1:, :], seg3[:, 1:, :]), axis=1)
     times = np.concatenate((s / 3.0, 1.0 / 3.0 + s[1:] / 3.0, 2.0 / 3.0 + s[1:] / 3.0))
     return TrajectoryBundle(times, positions)
+
+
+def _segment_distance(a, b):
+    """Distance from 0 to the complex segments [a, b]."""
+    d = b - a
+    den = np.abs(d) ** 2
+    t = np.divide(-(a * d.conj()).real, den, out=np.zeros_like(den), where=den > 0)
+    return np.abs(a + np.clip(t, 0.0, 1.0) * d)
+
+
+def loop_winding(flow: FlowSpec, base, configs, i: int, j: int) -> np.ndarray:
+    """Exact turns of x_i - x_j around the ``gg_loop`` of each configuration.
+
+    ``configs`` is (count, n, 2) and i, j are 0-based strands.  Each line
+    segment turns the pair by the principal angle between its ends.  On the
+    orbit x_i - x_j = ±x_out (1 - rho e^{i psi(s)}), with rho = r_in / r_out
+    and psi the inner minus the outer point's angle, so it turns by the
+    outer point's rate plus the change of the principal Arg(1 - rho e^{i psi}).
+    The result is NaN where the pair comes within COINCIDENCE_THRESHOLD and
+    the winding is undefined; elsewhere it is an integer up to rounding.
+    """
+    z = np.asarray(base, dtype=float)
+    x = np.asarray(configs, dtype=float)
+    n = z.shape[0]
+    if z.shape != (n, 2) or x.ndim != 3 or x.shape[1:] != (n, 2):
+        raise InputError("base must be (n, 2) and configs (count, n, 2)")
+    if i == j or not (0 <= i < n and 0 <= j < n):
+        raise InputError(f"winding needs two distinct strands of {n}, got {i} and {j}")
+    pair = x[:, [i, j]]
+    r2 = np.sum(pair**2, axis=-1)  # (count, 2), as in flow_path
+    omega = flow.angular_rate_float(np.clip(r2, 0.0, 1.0))
+    r, theta = np.sqrt(r2), np.arctan2(pair[..., 1], pair[..., 0])
+    gx = r * np.exp(1j * (theta + omega))
+    rel_z = complex(*(z[i] - z[j]))
+    rel_x = (pair[:, 0, 0] - pair[:, 1, 0]) + 1j * (pair[:, 0, 1] - pair[:, 1, 1])
+    rel_g = gx[:, 0] - gx[:, 1]
+
+    outer = r[:, 0] > r[:, 1]  # strand j on equal radii, where both forms agree
+    sign = np.where(outer, -1.0, 1.0)
+    rho = r.min(axis=1) / r.max(axis=1)
+    psi0 = sign * (theta[:, 0] - theta[:, 1])
+    psi1 = psi0 + sign * (omega[:, 0] - omega[:, 1])
+    total = (
+        np.angle(rel_x * np.conj(rel_z))
+        + np.where(outer, omega[:, 0], omega[:, 1])
+        + np.angle(1.0 - rho * np.exp(1j * psi1))
+        - np.angle(1.0 - rho * np.exp(1j * psi0))
+        + np.angle(rel_z * np.conj(rel_g))
+    )
+    # the orbit comes closest, at r_out - r_in, where psi passes 2 pi k
+    near = np.minimum(_segment_distance(rel_z, rel_x), _segment_distance(rel_g, rel_z))
+    passes = np.floor(psi0 / (2.0 * math.pi)) != np.floor(psi1 / (2.0 * math.pi))
+    near = np.where(passes, np.minimum(near, np.abs(r[:, 0] - r[:, 1])), near)
+    return np.where(near < COINCIDENCE_THRESHOLD, np.nan, total / (2.0 * math.pi))
 
 
 def perturb_direction(direction, attempt: int):

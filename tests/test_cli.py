@@ -6,7 +6,12 @@ import pytest
 
 from discbraid.cli import main
 from discbraid.flows import flow_to_json, make_flow
-from discbraid.profiles import polynomial_bump, profile_from_json, rotation_profile
+from discbraid.profiles import (
+    polynomial_bump,
+    profile_from_json,
+    profile_to_json,
+    rotation_profile,
+)
 
 
 @pytest.fixture
@@ -173,11 +178,14 @@ class TestConfigAfterValidation:
             ["lp-length", "--mode", "sampled", "--p", "0.5"],
             ["lp-length", "--p", "0.5"],
             ["flow-apply", "--point", "2,0"],
+            ["estimate", "--phi", "lk", "--n", "3", "--i", "1", "--j", "4"],
+            ["estimate", "--phi", "lk", "--n", "3", "--i", "2", "--j", "2"],
+            ["estimate", "--phi", "lk", "--n", "3", "--i", "0", "--j", "1"],
         ],
         ids=[
             "k-schedule-decreasing", "k-schedule-zero", "n-1", "samples-0",
             "space-samples-0", "time-steps-1", "sampled-p-half", "analytic-p-half",
-            "point-outside-disc",
+            "point-outside-disc", "lk-strand-above-n", "lk-same-strand", "lk-strand-0",
         ],
     )
     def test_flow_command(self, capsys, rotation_flow_file, argv):
@@ -235,6 +243,34 @@ class TestLpLength:
         )
         assert code == 0
         assert payload_of(out_s)["value"] == pytest.approx(analytic, rel=0.02)
+
+
+class TestMalformedFractions:
+    @pytest.fixture
+    def profile_file(self, tmp_path):
+        path = tmp_path / "bump.json"
+        path.write_text(profile_to_json(polynomial_bump(Fraction(1, 4), Fraction(3, 4), 96)))
+        return str(path)
+
+    @pytest.mark.parametrize("text", ["abc", "1/0", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flow-apply", "--point", "0.5,0"],
+            ["estimate", "--phi", "lk", "--n", "2", "--samples", "8"],
+        ],
+        ids=["flow-apply", "estimate"],
+    )
+    def test_bad_time_is_input_error(self, capsys, profile_file, argv, text):
+        code, out, err = run_cli(capsys, *argv, "--profile", profile_file, "--time", text)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "InputError"
+
+    @pytest.mark.parametrize("text", ["abc", "1/0", "nan"])
+    def test_bad_hs_parameter_is_input_error(self, capsys, text):
+        code, out, err = run_cli(capsys, "make-hs", "--s", text)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "InputError"
 
 
 class TestMakeHs:

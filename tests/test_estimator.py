@@ -1,9 +1,12 @@
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import discbraid.estimator as est_mod
+from discbraid.braids import linking_number
 from discbraid.errors import DegeneracyError, InputError
 from discbraid.estimator import (
     QmEstimate,
@@ -14,6 +17,7 @@ from discbraid.estimator import (
     estimate_phi_tilde_n,
 )
 from discbraid.flows import calabi, make_flow
+from discbraid.loops import COINCIDENCE_THRESHOLD, loop_winding
 from discbraid.profiles import make_hs_profile, polynomial_bump, rotation_profile
 from discbraid.quasimorphisms import linking_quasimorphism, signature_quasimorphism
 
@@ -70,15 +74,106 @@ class TestEstimatePhi:
         with pytest.raises(DegeneracyError):
             estimate_phi_n(bump_flow(), LK, 2, samples=40, seed=0)
 
-    def test_generic_path_matches_fast_path(self):
-        # same chunks through the n=2 fast path and the generic word route
-        flow = bump_flow()
+    def test_strand_checks_before_sampling(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before the strand check")
+
+        monkeypatch.setattr(est_mod, "sample_configs", no_sampling)
+        for i, j in ((1, 4), (2, 2), (0, 1), (-1, 2)):
+            with pytest.raises(InputError):
+                estimate_phi_n(bump_flow(), linking_quasimorphism(i, j), 3, samples=10)
+
+    def test_coincident_base_rejected(self):
+        with pytest.raises(InputError):
+            estimate_phi_n(bump_flow(), LK, 2, base=[[0.5, 0.0], [0.5, 0.0]], samples=10)
+
+
+class TestLoopWinding:
+    MULTI = make_flow(
+        [
+            (polynomial_bump(Fraction(1, 8), Fraction(1, 2), 60), Fraction(-3, 2)),
+            (polynomial_bump(Fraction(3, 8), Fraction(7, 8), 48), 2),
+        ]
+    )
+
+    @pytest.mark.parametrize(
+        "flow", [bump_flow(), bump_flow().scaled(8), MULTI], ids=["bump", "bump-k8", "multi-negative"]
+    )
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_extraction(self, flow, n):
+        # every ordered pair of 700 configurations: 16 800 cases over the six runs
+        base = default_base(n)
+        configs = est_mod.sample_configs(chunk_rng(31, est_mod.TASK_PHI, n), 700, n)
+        loops = [est_mod.config_loop(flow, base, c, None) for c in configs]
+        for i, j in itertools.permutations(range(n), 2):
+            turns = loop_winding(flow, base, configs, i, j)
+            got = [None if math.isnan(t) else int(np.rint(t)) for t in turns]
+            want = [None if lp is None else linking_number(lp[1], i + 1, j + 1) for lp in loops]
+            assert got == want
+            assert np.nanmax(np.abs(turns - np.rint(turns))) < 1e-12
+        assert all(lp is not None for lp in loops)  # no case passes as a double rejection
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_full_rotation_links_every_pair_once(self, n):
+        flow = make_flow([(rotation_profile(1), 2 * math.pi)], validate=False)
+        configs = est_mod.sample_configs(chunk_rng(2, est_mod.TASK_PHI, 0), 300, n)
+        for i, j in itertools.permutations(range(n), 2):
+            assert np.all(np.rint(loop_winding(flow, default_base(n), configs, i, j)) == 1)
+            est = estimate_phi_n(flow, linking_quasimorphism(i + 1, j + 1), n, samples=300, seed=3)
+            assert (est.value, est.std_error, est.rejected) == (math.pi**n, 0.0, 0)
+
+    def test_identity_flow_is_zero(self):
+        configs = est_mod.sample_configs(chunk_rng(4, est_mod.TASK_PHI, 0), 300, 3)
+        for i, j in itertools.permutations(range(3), 2):
+            assert np.all(np.rint(loop_winding(make_flow([]), default_base(3), configs, i, j)) == 0)
+
+    def test_coincident_pair_rejected(self, monkeypatch):
+        # swapping the base points sends the pair's lines out through each other
         base = default_base(2)
-        rng = chunk_rng(23, est_mod.TASK_PHI, 0)
-        configs = est_mod.sample_configs(rng, 200, 2)
-        fast = est_mod._lk2_chunk_values(flow, LK, base, configs, 48)
-        slow = [est_mod._phi_single(flow, LK, base, c, 48) for c in configs]
-        assert fast == slow
+        swapped = base[::-1].copy()
+        assert math.isnan(loop_winding(bump_flow(), base, swapped[None], 0, 1)[0])
+        assert est_mod.config_loop(bump_flow(), base, swapped, 32) is None
+        monkeypatch.setattr(
+            est_mod, "sample_configs", lambda rng, count, n: np.array([swapped, 0.5 * base])
+        )
+        est = estimate_phi_n(bump_flow(), LK, 2, samples=2)
+        assert (est.samples, est.rejected) == (1, 1)
+
+    @pytest.mark.parametrize("gap", [4e-10, 4e-9])
+    def test_orbit_approach_rejected_below_threshold(self, gap):
+        # radii gap apart, angles set so the pair passes at distance gap mid-orbit
+        flow = bump_flow(t=4096)
+        ri, rj = 0.7, 0.7 - gap
+        wi, wj = flow.angular_rate_float(np.array([ri * ri, rj * rj]))
+        ti, tj = 1.0, 1.0 + (wi - wj) / 2
+        config = np.array([[ri * math.cos(ti), ri * math.sin(ti)], [rj * math.cos(tj), rj * math.sin(tj)]])
+        assert math.hypot(*(config[0] - config[1])) > est_mod.MIN_SEPARATION
+        turns = loop_winding(flow, default_base(2), config[None], 0, 1)[0]
+        assert math.isnan(turns) == (gap < COINCIDENCE_THRESHOLD)
+
+    def test_strand_validation(self):
+        configs = np.zeros((1, 2, 2))
+        for i, j in ((0, 0), (0, 2), (-1, 0)):
+            with pytest.raises(InputError):
+                loop_winding(bump_flow(), default_base(2), configs, i, j)
+
+
+class TestGoldenValues:
+    # QmEstimate values computed by braid extraction, which the closed form
+    # reproduces bit for bit; integer sums scaled by pi^n, so portable
+    def test_lk12_two_strands(self):
+        est = estimate_phi_n(bump_flow(), LK, 2, samples=3000, seed=17)
+        assert (est.value, est.std_error, est.samples, est.rejected) == (
+            -0.5165092969903431, 0.09322881177271877, 3000, 0
+        )
+
+    def test_lk13_three_strands_homogenized(self):
+        est = estimate_phi_tilde_n(
+            bump_flow(), linking_quasimorphism(1, 3), 3, samples=600, k_schedule=(4, 8), seed=19
+        )
+        assert (est.value, est.std_error, est.samples, est.rejected) == (
+            -1.2337914262369303, 0.4795642613297203, 600, 0
+        )
 
 
 class TestEstimatePhiTilde:

@@ -204,6 +204,12 @@ class TestMonteCarloChecks:
         assert proc.returncode == 2
         assert "--scale" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("p", ["0.5", "nan"])
+    def test_lipschitz_scan_rejects_a_bad_exponent(self, p):
+        proc = self.run_lipschitz_scan("--p", p)
+        assert proc.returncode == 2
+        assert "--p" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_lipschitz_scan_prints_the_fit(self):
         proc = self.run_lipschitz_scan("--tmax", "3", "--samples", "40", "--scale", "-20")
         assert proc.returncode == 0, proc.stderr
