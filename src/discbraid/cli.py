@@ -284,8 +284,8 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool):
     parser.add_argument(
         "--threads",
         type=int,
-        default=default(int(os.environ.get("DISCBRAID_THREADS", "1"))),
-        help="worker processes for sample-parallel tasks",
+        default=default(os.environ.get("DISCBRAID_THREADS", "1")),
+        help="worker processes for signature estimates",
     )
     parser.add_argument("--format", choices=("json", "csv"), default=default("json"))
     parser.add_argument(

@@ -7,8 +7,10 @@ the sample mean scaled by pi^n.
 
 A linking number lk[i,j], at any n and for any pair, is the number of
 turns of x_i - x_j around the loop, which ``loops.loop_winding`` gives in
-closed form for a whole chunk.  The signature has no closed form and goes
-through braid extraction, one configuration at a time.
+closed form for a whole chunk, in the calling process.  The signature goes
+through braid extraction, one configuration at a time, and it alone uses
+worker processes.  Both reject a pair that passes within the coincidence
+threshold along the loop.
 
 Reproducibility contract: all randomness is derived from one user seed via
 (seed, task, chunk) keyed generators over fixed-size chunks, and partial
@@ -27,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegeneracyError, InputError
-from .flows import FlowSpec
+from .flows import FlowSpec, check_rotation
 from .loops import (
     COINCIDENCE_THRESHOLD,
     DegenerateConfigurationError,
@@ -36,7 +38,7 @@ from .loops import (
     loop_braid,
     loop_winding,
 )
-from .quasimorphisms import QuasimorphismSpec, spec_from_pool_key
+from .quasimorphisms import QuasimorphismSpec
 
 __all__ = [
     "QmEstimate",
@@ -97,12 +99,7 @@ def sample_configs(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
     return np.stack((r * np.cos(theta), r * np.sin(theta)), axis=-1)
 
 
-def config_loop(
-    flow: FlowSpec,
-    base: np.ndarray,
-    config: np.ndarray,
-    samples_per_segment: Optional[int],
-):
+def config_loop(flow: FlowSpec, base: np.ndarray, config: np.ndarray):
     """(loop bundle, loop braid) of one configuration, or None when rejected.
 
     Rejected are configurations with a pair closer than MIN_SEPARATION and
@@ -111,7 +108,7 @@ def config_loop(
     if closest_pair(config)[0] < MIN_SEPARATION:
         return None
     try:
-        bundle = gg_loop(base, config, flow, samples_per_segment)
+        bundle = gg_loop(base, config, flow)
         return bundle, loop_braid(bundle)
     except DegenerateConfigurationError:
         return None
@@ -119,9 +116,9 @@ def config_loop(
 
 def _linking_pair(phi: QuasimorphismSpec, n: int):
     """0-based strands of a linking spec, checked against n; None for others."""
-    if phi.pool_key is None or phi.pool_key[0] != "lk":
+    if phi.strands is None:
         return None
-    i, j = phi.pool_key[1:]
+    i, j = phi.strands
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise InputError(f"{phi.name} needs two distinct strands in 1..{n}")
     return i - 1, j - 1
@@ -142,14 +139,17 @@ def _phi_chunk(
     seed: int,
     chunk: int,
     count: int,
-    samples_per_segment: Optional[int],
 ) -> tuple[float, float, int, int]:
     """Accumulate (sum, sum of squares, accepted, rejected) for one chunk."""
     rng = chunk_rng(seed, TASK_PHI, chunk)
     configs = sample_configs(rng, count, n)
     pair = _linking_pair(phi, n)
     if pair is None:
-        loops = (config_loop(flow, base, c, samples_per_segment) for c in configs)
+        # a pair passing through each other has no braid; reject it as lk does
+        kept = configs[_separated(configs)]
+        for i, j in zip(*np.triu_indices(n, 1)):
+            kept = kept[~np.isnan(loop_winding(flow, base, kept, i, j))]
+        loops = (config_loop(flow, base, c) for c in kept)
         values = [float(phi(loop[1])) for loop in loops if loop is not None]
     else:
         turns = loop_winding(flow, base, configs[_separated(configs)], *pair)
@@ -161,12 +161,6 @@ def _phi_chunk(
     return total, total_sq, len(values), count - len(values)
 
 
-def _phi_chunk_task(payload):
-    flow, pool_key, n, base, seed, chunk, count, sps = payload
-    phi = spec_from_pool_key(pool_key)
-    return _phi_chunk(flow, phi, n, base, seed, chunk, count, sps)
-
-
 def estimate_phi_n(
     flow: FlowSpec,
     phi: QuasimorphismSpec,
@@ -175,16 +169,16 @@ def estimate_phi_n(
     samples: int = 10_000,
     seed: int = 0,
     threads: int = 1,
-    samples_per_segment: Optional[int] = None,
 ) -> QmEstimate:
     """Estimate the configuration integral of phi over loop braids of the flow.
 
     Configurations are uniform on the disc power; tuples with a pair closer
-    than the separation threshold are rejected and counted, and so are, for
-    a linking spec, those whose linked pair comes within the coincidence
-    threshold along the loop, and otherwise those whose extraction stays
-    degenerate after direction perturbations.  The value is the
-    accepted-sample mean scaled by pi^n.
+    than the separation threshold are rejected and counted, and so are
+    those with a pair (the linked pair, for a linking spec) that comes
+    within the coincidence threshold along the loop, and those whose
+    extraction stays degenerate after direction perturbations.  The value
+    is the accepted-sample mean scaled by pi^n; ``threads`` workers share
+    the chunks of a spec with no closed form.
     """
     if n < 2:
         raise InputError("need n >= 2 marked points")
@@ -196,25 +190,16 @@ def estimate_phi_n(
     d, i, j = closest_pair(base)
     if d < COINCIDENCE_THRESHOLD:
         raise InputError(f"base points {i} and {j} coincide")
-    _linking_pair(phi, n)
+    pair = _linking_pair(phi, n)
+    check_rotation(flow)
 
-    chunks = []
-    start = 0
-    index = 0
-    while start < samples:
-        count = min(CHUNK_SAMPLES, samples - start)
-        chunks.append((flow, phi.pool_key, n, base, seed, index, count, samples_per_segment))
-        start += count
-        index += 1
-
-    if threads > 1 and phi.pool_key is not None and len(chunks) > 1:
+    counts = [min(CHUNK_SAMPLES, samples - start) for start in range(0, samples, CHUNK_SAMPLES)]
+    chunk = partial(_phi_chunk, flow, phi, n, base, seed)
+    if threads > 1 and pair is None and len(counts) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_phi_chunk_task, chunks))
+            results = list(pool.map(chunk, range(len(counts)), counts))
     else:
-        results = [
-            _phi_chunk(flow, phi, n, base, seed, chunk, count, sps)
-            for flow, _key, n, base, seed, chunk, count, sps in chunks
-        ]
+        results = list(map(chunk, range(len(counts)), counts))
 
     total = total_sq = 0.0
     accepted = rejected = 0
@@ -250,7 +235,6 @@ def estimate_phi_tilde_n(
     k_schedule: Sequence[int] = (1, 2, 4),
     seed: int = 0,
     threads: int = 1,
-    samples_per_segment: Optional[int] = None,
 ) -> QmEstimate:
     """Homogenized estimate: the k-th entry evaluates the flow at k-fold time.
 
@@ -263,6 +247,7 @@ def estimate_phi_tilde_n(
     ks = tuple(int(k) for k in k_schedule)
     if not ks or any(k <= 0 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
         raise InputError("k_schedule must be increasing positive integers")
+    check_rotation(flow.scaled(ks[-1]))  # the largest k turns fastest; fail before sampling
     per_k = []
     for k in ks:
         est = estimate_phi_n(
@@ -273,7 +258,6 @@ def estimate_phi_tilde_n(
             samples=samples,
             seed=seed,
             threads=threads,
-            samples_per_segment=samples_per_segment,
         )
         per_k.append(
             QmEstimate(

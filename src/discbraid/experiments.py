@@ -91,7 +91,6 @@ def check_crossing_bound(
     base: Optional[np.ndarray] = None,
     trials: int = 100,
     seed: int = 0,
-    samples_per_segment: Optional[int] = None,
 ) -> Report:
     """Crossing-count bound: twice the sum of (pair winding + 4) dominates
     the reduced letter count of the extracted braid, for every sampled
@@ -104,7 +103,7 @@ def check_crossing_bound(
     skipped = 0
     for trial in range(trials):
         config = sample_configs(chunk_rng(seed, TASK_EXPERIMENT, trial), 1, n)[0]
-        loop = config_loop(flow, base, config, samples_per_segment)
+        loop = config_loop(flow, base, config)
         if loop is None:
             skipped += 1
             continue

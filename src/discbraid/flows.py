@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +29,8 @@ from .profiles import RadialProfile, profile_from_json, profile_to_json
 __all__ = [
     "FlowSpec",
     "make_flow",
+    "MAX_ROTATION",
+    "check_rotation",
     "radial_flow_apply",
     "calabi",
     "calabi_coefficient",
@@ -41,6 +44,11 @@ __all__ = [
     "flow_from_json",
 ]
 
+# Largest rotation_bound (rad) a flow may have.  Loop windings count whole
+# turns of float angles, so a float ulp of the rate must stay far below one
+# radian; at this bound it is about 1e-7 rad.
+MAX_ROTATION = 1e9
+
 
 @dataclass(frozen=True)
 class FlowSpec:
@@ -50,7 +58,11 @@ class FlowSpec:
 
     def scaled(self, k) -> "FlowSpec":
         k = Fraction(k) if isinstance(k, (int, Fraction)) else k
-        return FlowSpec(tuple((h, t * k) for h, t in self.terms))
+        try:
+            terms = [(h, t * k) for h, t in self.terms]
+        except OverflowError:  # a float time times a huge k
+            raise InputError("scaled time coefficient is too large for a float") from None
+        return make_flow(terms, validate=False)
 
     def angular_rate_float(self, y):
         """2 sum_i t_i h_i'(y) on float arrays; the angle advance per unit time."""
@@ -75,6 +87,7 @@ def make_flow(terms, validate: bool = True) -> FlowSpec:
     With ``validate`` set, each profile must vanish near the centre and the
     boundary so the flow is an honest compactly supported diffeomorphism;
     analytic conveniences like the rigid rotation need ``validate=False``.
+    Every time must be a finite float, or a rational that converts to one.
     """
     packed = []
     for h, t in terms:
@@ -84,8 +97,22 @@ def make_flow(terms, validate: bool = True) -> FlowSpec:
             raise InputError(
                 f"profile supported on {h.support} does not vanish near r=0 and r=1"
             )
-        packed.append((h, Fraction(t) if isinstance(t, (int, str, Fraction)) else t))
+        t = Fraction(t) if isinstance(t, (int, str, Fraction)) else t
+        if not abs(t) <= sys.float_info.max:  # exact for a Fraction; False for inf and NaN
+            raise InputError("flow time coefficients must be finite and within float range")
+        packed.append((h, t))
     return FlowSpec(tuple(packed))
+
+
+def check_rotation(spec: FlowSpec) -> float:
+    """The flow's rotation_bound; InputError above MAX_ROTATION."""
+    bound = spec.rotation_bound
+    if not bound <= MAX_ROTATION:
+        raise InputError(
+            f"rotation bound {bound:.3g} rad exceeds {MAX_ROTATION:.0e}: "
+            "float angles no longer resolve a turn"
+        )
+    return bound
 
 
 def radial_flow_apply(spec: FlowSpec, point, polar: bool = False):

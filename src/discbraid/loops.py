@@ -29,7 +29,7 @@ import numpy as np
 
 from .braids import BraidWord
 from .errors import DegenerateConfigurationError, InputError
-from .flows import FlowSpec, flow_path
+from .flows import FlowSpec, check_rotation, flow_path
 
 __all__ = [
     "TrajectoryBundle",
@@ -104,7 +104,7 @@ def gg_loop(
 
     ``samples_per_segment`` counts the subintervals per third; by default it
     scales with the flow's angular speed bound so relative windings stay
-    resolved.
+    resolved.  A flow turning faster than ``flows.MAX_ROTATION`` is an InputError.
     """
     z = np.asarray(base, dtype=float)
     x = np.asarray(start, dtype=float)
@@ -114,8 +114,9 @@ def gg_loop(
         d, i, j = closest_pair(points)
         if d < COINCIDENCE_THRESHOLD:
             raise InputError(f"{label} points {i} and {j} coincide")
+    bound = check_rotation(flow)
     if samples_per_segment is None:
-        samples_per_segment = max(32, int(math.ceil(8.0 * flow.rotation_bound)))
+        samples_per_segment = max(32, int(math.ceil(8.0 * bound)))
     m = int(samples_per_segment)
     if m < 2:
         raise InputError("need at least 2 samples per segment")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional
 
 from .braids import BraidWord, free_reduce, linking_number, power
@@ -33,15 +34,16 @@ __all__ = [
 class QuasimorphismSpec:
     """A real-valued quasi-morphism on braid words.
 
-    ``pool_key`` names a registry entry so estimator workers in other
-    processes can rebuild the evaluator; purely in-process specs leave it
-    unset.
+    ``strands`` is the 1-based pair (i, j) of a linking-number spec, which
+    the estimator evaluates in closed form, and None for every other spec.
+    Specs pickle, evaluator included, so estimator workers receive them as
+    they are.
     """
 
     name: str
     evaluator: Callable[[BraidWord], Fraction]
     declared_defect_bound: Optional[Fraction] = None
-    pool_key: Optional[tuple] = None
+    strands: Optional[tuple[int, int]] = None
 
     def __call__(self, a: BraidWord) -> Fraction:
         return Fraction(self.evaluator(a))
@@ -136,39 +138,24 @@ def sample_defect(
     return worst
 
 
+def _linking_value(a: BraidWord, i: int, j: int) -> Fraction:
+    return Fraction(linking_number(a, i, j))
+
+
+def _signature_value(a: BraidWord) -> Fraction:
+    return Fraction(braid_signature(a))
+
+
 def linking_quasimorphism(i: int = 1, j: int = 2) -> QuasimorphismSpec:
     """The (i, j) linking number, a homomorphism on pure braids."""
-
-    def evaluate(a: BraidWord) -> Fraction:
-        return Fraction(linking_number(a, i, j))
-
     return QuasimorphismSpec(
         name=f"lk[{i},{j}]",
-        evaluator=evaluate,
+        evaluator=partial(_linking_value, i=i, j=j),
         declared_defect_bound=Fraction(0),
-        pool_key=("lk", i, j),
+        strands=(i, j),
     )
 
 
 def signature_quasimorphism() -> QuasimorphismSpec:
     """Signature of the braid closure, a quasi-morphism on braid groups."""
-
-    def evaluate(a: BraidWord) -> Fraction:
-        return Fraction(braid_signature(a))
-
-    return QuasimorphismSpec(
-        name="signature",
-        evaluator=evaluate,
-        pool_key=("signature",),
-    )
-
-
-_POOL_REGISTRY = {
-    "lk": linking_quasimorphism,
-    "signature": signature_quasimorphism,
-}
-
-
-def spec_from_pool_key(key: tuple) -> QuasimorphismSpec:
-    name, *args = key
-    return _POOL_REGISTRY[name](*args)
+    return QuasimorphismSpec(name="signature", evaluator=_signature_value)

@@ -252,7 +252,7 @@ class TestMalformedFractions:
         path.write_text(profile_to_json(polynomial_bump(Fraction(1, 4), Fraction(3, 4), 96)))
         return str(path)
 
-    @pytest.mark.parametrize("text", ["abc", "1/0", "nan"])
+    @pytest.mark.parametrize("text", ["abc", "1/0", "nan", "1e400"])
     @pytest.mark.parametrize(
         "argv",
         [
@@ -266,11 +266,63 @@ class TestMalformedFractions:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "InputError"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--phi", "lk", "--n", "2", "--samples", "20", "--time", "1e30"],
+            ["estimate", "--phi", "signature", "--n", "3", "--samples", "20", "--time", "1e30"],
+            ["estimate", "--phi", "lk", "--n", "2", "--samples", "20", "--k-schedule", "1," + "9" * 401],
+            ["braid-extract", "--start", "0.5,0;-0.5,0", "--time", "1e30"],
+        ],
+        ids=["estimate-lk", "estimate-signature", "k-schedule", "braid-extract"],
+    )
+    def test_unresolvable_turns_are_input_error(self, capsys, profile_file, argv):
+        code, out, err = run_cli(capsys, *argv, "--profile", profile_file)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "InputError"
+
     @pytest.mark.parametrize("text", ["abc", "1/0", "nan"])
     def test_bad_hs_parameter_is_input_error(self, capsys, text):
         code, out, err = run_cli(capsys, "make-hs", "--s", text)
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "InputError"
+
+
+class TestFlowFileTimes:
+    @pytest.mark.parametrize(
+        "time_text", ["1e400", "NaN", "-Infinity", "[1" + "0" * 400 + ", 1]"],
+        ids=["1e400", "NaN", "-Infinity", "10**400-fraction"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["flow-apply", "--point", "0.5,0"], ["lp-length", "--p", "2"]],
+        ids=["flow-apply", "lp-length"],
+    )
+    def test_non_finite_time_is_input_error(self, capsys, bump_flow_file, argv, time_text):
+        with open(bump_flow_file) as fh:
+            doc = json.load(fh)
+        doc["terms"][0]["time"] = "TIME"
+        with open(bump_flow_file, "w") as fh:
+            fh.write(json.dumps(doc).replace('"TIME"', time_text))
+        code, out, err = run_cli(capsys, *argv, "--flow", bump_flow_file)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "InputError"
+
+
+class TestThreadsEnvironment:
+    def test_bad_default_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("DISCBRAID_THREADS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["make-hs", "--s", "7/24"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_default_is_read(self, capsys, monkeypatch):
+        monkeypatch.setenv("DISCBRAID_THREADS", "2")
+        code, out, _ = run_cli(capsys, "make-hs", "--s", "7/24")
+        assert code == 0
+        config = json.loads(out.splitlines()[0][len("# config "):])
+        assert config["threads"] == 2
 
 
 class TestMakeHs:

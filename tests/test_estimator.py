@@ -47,6 +47,38 @@ class TestEstimatePhi:
         b = estimate_phi_n(flow, LK, 2, samples=1500, seed=9, threads=3)
         assert a == b
 
+    def test_linking_runs_without_a_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the linking route started worker processes")
+
+        monkeypatch.setattr(est_mod, "ProcessPoolExecutor", no_pool)
+        est = estimate_phi_n(bump_flow(), linking_quasimorphism(1, 3), 3, samples=1500, seed=9, threads=3)
+        assert est.samples + est.rejected == 1500
+
+    def test_signature_deterministic_across_threads(self):
+        # 600 samples make two chunks, so threads=2 spreads them over two workers
+        flow = make_flow([(make_hs_profile(Fraction(7, 24)), 4)])
+        sig = signature_quasimorphism()
+        a, b = (
+            estimate_phi_tilde_n(flow, sig, 3, samples=600, k_schedule=(1, 2), seed=6, threads=t)
+            for t in (1, 2)
+        )
+        assert a == b
+
+    def test_unresolvable_rotation_rejected_before_sampling(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before the rotation check")
+
+        monkeypatch.setattr(est_mod, "sample_configs", no_sampling)
+        fast = bump_flow(t=10**9)
+        for phi in (LK, signature_quasimorphism()):
+            with pytest.raises(InputError, match="rotation bound"):
+                estimate_phi_n(fast, phi, 2, samples=10)
+            with pytest.raises(InputError):
+                estimate_phi_tilde_n(bump_flow(), phi, 2, samples=10, k_schedule=(1, 10**9))
+            with pytest.raises(InputError):
+                estimate_phi_tilde_n(bump_flow(), phi, 2, samples=10, k_schedule=(1, 10**400))
+
     def test_deterministic_same_seed(self):
         flow = bump_flow()
         a = estimate_phi_n(flow, LK, 2, samples=500, seed=4)
@@ -104,7 +136,7 @@ class TestLoopWinding:
         # every ordered pair of 700 configurations: 16 800 cases over the six runs
         base = default_base(n)
         configs = est_mod.sample_configs(chunk_rng(31, est_mod.TASK_PHI, n), 700, n)
-        loops = [est_mod.config_loop(flow, base, c, None) for c in configs]
+        loops = [est_mod.config_loop(flow, base, c) for c in configs]
         for i, j in itertools.permutations(range(n), 2):
             turns = loop_winding(flow, base, configs, i, j)
             got = [None if math.isnan(t) else int(np.rint(t)) for t in turns]
@@ -128,16 +160,17 @@ class TestLoopWinding:
             assert np.all(np.rint(loop_winding(make_flow([]), default_base(3), configs, i, j)) == 0)
 
     def test_coincident_pair_rejected(self, monkeypatch):
-        # swapping the base points sends the pair's lines out through each other
+        # swapping the base points sends the pair's lines out through each other;
+        # both routes reject it by the same closest-approach rule
         base = default_base(2)
         swapped = base[::-1].copy()
         assert math.isnan(loop_winding(bump_flow(), base, swapped[None], 0, 1)[0])
-        assert est_mod.config_loop(bump_flow(), base, swapped, 32) is None
         monkeypatch.setattr(
             est_mod, "sample_configs", lambda rng, count, n: np.array([swapped, 0.5 * base])
         )
-        est = estimate_phi_n(bump_flow(), LK, 2, samples=2)
-        assert (est.samples, est.rejected) == (1, 1)
+        for phi in (LK, signature_quasimorphism()):
+            est = estimate_phi_n(bump_flow(), phi, 2, samples=2)
+            assert (est.samples, est.rejected) == (1, 1)
 
     @pytest.mark.parametrize("gap", [4e-10, 4e-9])
     def test_orbit_approach_rejected_below_threshold(self, gap):

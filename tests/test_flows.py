@@ -6,9 +6,11 @@ import pytest
 
 from discbraid.errors import InputError
 from discbraid.flows import (
+    MAX_ROTATION,
     FlowSpec,
     calabi,
     calabi_coefficient,
+    check_rotation,
     flow_from_json,
     flow_path,
     flow_to_json,
@@ -84,6 +86,32 @@ class TestFlowApply:
     def test_validation_of_boundary_support(self):
         with pytest.raises(InputError):
             make_flow([(rotation_profile(1), 1)])
+
+    @pytest.mark.parametrize(
+        "t", [math.inf, -math.inf, math.nan, Fraction(10**400), "1e400", 10**400],
+        ids=["inf", "-inf", "nan", "fraction", "str", "int"],
+    )
+    def test_time_must_be_a_finite_float(self, t):
+        h = polynomial_bump(Fraction(1, 4), Fraction(3, 4), 20)
+        with pytest.raises(InputError):
+            make_flow([(h, t)])
+
+    def test_scaled_keeps_time_types(self):
+        h = polynomial_bump(Fraction(1, 4), Fraction(3, 4), 20)
+        assert make_flow([(h, Fraction(3, 2))]).scaled(4).terms == ((h, Fraction(6)),)
+        assert make_flow([(h, 1.5)]).scaled(4).terms == ((h, 6.0),)
+        for t in (Fraction(3, 2), 1.5):
+            with pytest.raises(InputError):
+                make_flow([(h, t)]).scaled(10**400)
+
+
+class TestRotationBound:
+    def test_cap(self):
+        h = rotation_profile(1)  # h' = 1/2, so the bound is |t|
+        assert check_rotation(make_flow([(h, -MAX_ROTATION)], validate=False)) == MAX_ROTATION
+        for t in (MAX_ROTATION * 1.01, 1e300, Fraction(10**300)):
+            with pytest.raises(InputError, match="rotation bound"):
+                check_rotation(make_flow([(h, t)], validate=False))
 
 
 class TestCalabi:
@@ -228,3 +256,14 @@ class TestFlowFiles:
     def test_malformed(self):
         with pytest.raises(InputError):
             flow_from_json("{}")
+
+    @pytest.mark.parametrize(
+        "time", ["1e400", "-1e400", "NaN", "Infinity", "[" + "9" * 401 + ", 1]"],
+        ids=["1e400", "-1e400", "NaN", "Infinity", "401-digit-fraction"],
+    )
+    def test_non_finite_time(self, time):
+        flow = make_flow([(polynomial_bump(Fraction(1, 4), Fraction(3, 4), 96), 1)])
+        text = flow_to_json(flow).replace('"time": [\n        1,\n        1\n      ]', f'"time": {time}')
+        assert f'"time": {time}' in text
+        with pytest.raises(InputError):
+            flow_from_json(text)

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ from discbraid.quasimorphisms import (
     linking_quasimorphism,
     sample_defect,
     signature_quasimorphism,
-    spec_from_pool_key,
 )
 
 
@@ -102,11 +102,14 @@ class TestSampleDefect:
 
 
 class TestSpecs:
-    def test_pool_roundtrip(self):
-        lk = linking_quasimorphism(1, 3)
-        rebuilt = spec_from_pool_key(lk.pool_key)
-        w = make_word([2, 2], 3)
-        assert lk(w) == rebuilt(w)
+    def test_pickle_roundtrip(self):
+        w = make_word([2, 1, 1, 2, 2, 2], 3)
+        for spec in (linking_quasimorphism(1, 3), signature_quasimorphism()):
+            rebuilt = pickle.loads(pickle.dumps(spec))
+            assert (rebuilt.name, rebuilt.strands) == (spec.name, spec.strands)
+            assert rebuilt(w) == spec(w)
+        assert linking_quasimorphism(1, 3).strands == (1, 3)
+        assert signature_quasimorphism().strands is None
 
     def test_linking_values(self):
         lk = linking_quasimorphism()
