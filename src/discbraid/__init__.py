@@ -42,6 +42,7 @@ from .flows import (
     make_flow,
     radial_flow_apply,
     signature_moment,
+    signature_response,
 )
 from .lengths import holder_constant, lp_length_sampled
 from .loops import (

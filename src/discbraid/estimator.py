@@ -36,6 +36,7 @@ from .loops import (
     closest_pair,
     gg_loop,
     loop_braid,
+    loop_samples,
     loop_winding,
 )
 from .quasimorphisms import QuasimorphismSpec
@@ -124,6 +125,14 @@ def _linking_pair(phi: QuasimorphismSpec, n: int):
     return i - 1, j - 1
 
 
+def _check_size(flow: FlowSpec, phi: QuasimorphismSpec, n: int) -> None:
+    """InputError for a flow that turns too fast, or whose sampled loop is too big."""
+    if phi.strands is None:
+        loop_samples(flow, n)
+    else:
+        check_rotation(flow)
+
+
 def _separated(configs: np.ndarray) -> np.ndarray:
     """Mask of configurations whose closest pair is MIN_SEPARATION or more apart."""
     a, b = np.triu_indices(configs.shape[1], 1)
@@ -191,7 +200,7 @@ def estimate_phi_n(
     if d < COINCIDENCE_THRESHOLD:
         raise InputError(f"base points {i} and {j} coincide")
     pair = _linking_pair(phi, n)
-    check_rotation(flow)
+    _check_size(flow, phi, n)
 
     counts = [min(CHUNK_SAMPLES, samples - start) for start in range(0, samples, CHUNK_SAMPLES)]
     chunk = partial(_phi_chunk, flow, phi, n, base, seed)
@@ -247,37 +256,15 @@ def estimate_phi_tilde_n(
     ks = tuple(int(k) for k in k_schedule)
     if not ks or any(k <= 0 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
         raise InputError("k_schedule must be increasing positive integers")
-    check_rotation(flow.scaled(ks[-1]))  # the largest k turns fastest; fail before sampling
-    per_k = []
-    for k in ks:
-        est = estimate_phi_n(
-            flow.scaled(k),
-            phi,
-            n,
-            base=base,
-            samples=samples,
-            seed=seed,
-            threads=threads,
-        )
-        per_k.append(
-            QmEstimate(
-                est.value / k,
-                est.std_error / k,
-                est.samples,
-                est.rejected,
-                seed,
-            )
-        )
+    _check_size(flow.scaled(ks[-1]), phi, n)  # the largest k turns fastest; fail before sampling
+    per_k = [
+        estimate_phi_n(flow.scaled(k), phi, n, base=base, samples=samples, seed=seed, threads=threads)
+        for k in ks
+    ]
+    values = [est.value / k for est, k in zip(per_k, ks)]
+    cauchy = abs(values[-1] - values[-2]) if len(ks) >= 2 else 0.0
     last = per_k[-1]
-    cauchy = abs(per_k[-1].value - per_k[-2].value) if len(per_k) >= 2 else 0.0
-    return QmEstimate(
-        last.value,
-        last.std_error + cauchy,
-        last.samples,
-        last.rejected,
-        seed,
-        ks,
-    )
+    return QmEstimate(values[-1], last.std_error / ks[-1] + cauchy, last.samples, last.rejected, seed, ks)
 
 
 @dataclass(frozen=True)

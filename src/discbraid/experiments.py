@@ -5,13 +5,14 @@ observed (how much slack the asserted inequality had), and every
 intermediate quantity needed to audit the run.  The checks verify
 structure: boundedness of ratios, linearity, sign conditions, and sandwich
 inequalities with empirically fitted constants.  Where exact formulas exist
-(moments, even-p speed moments, determinants) the comparisons run in
+(moments, signature responses, even-p speed moments) the comparisons run in
 rational arithmetic; Monte Carlo quantities carry 3-sigma bands.
 
 Lower bounds on the group norm are never computed directly (the norm is an
-infimum over isotopies); the bi-Lipschitz check uses the exact moment
-functionals as the lower-bound proxy, which is how the inequalities are
-actually proved.
+infimum over isotopies).  The bi-Lipschitz check bounds it below through
+the exact homogenized signatures of radial flows
+(``flows.signature_response``), which are Lipschitz in the norm; that is
+how the paper proves the embedding.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .flows import (
     lp_length_radial,
     lp_speed_moment_exact,
     make_flow,
-    signature_moment,
+    signature_response,
 )
 from .loops import winding_length
 from .poly import divide_linear, evaluate
@@ -63,7 +64,6 @@ __all__ = [
     "check_word_length_bound",
     "check_lipschitz",
     "check_bilipschitz_disc",
-    "check_signature_matrix",
     "check_hs_family",
     "check_calabi_proportionality",
     "linear_fit",
@@ -271,112 +271,66 @@ def check_bilipschitz_disc(
     vectors: Sequence[Sequence],
     p: int = 2,
 ) -> Report:
-    """Two-sided bound for commuting combinations of the profile flows.
+    """The bi-Lipschitz embedding v -> g_v = prod_j (time-one flow of h_j)^(v_j).
 
-    Lower side: with same-sign moment responses and nonnegative weights,
-    |sum v_i * moment_i| >= min|moment| * |v|_1 holds exactly.  Upper side:
-    the length of the combined isotopy is at most max_i length_i * |v|_1
-    (an exact even-p comparison of speed moments).  The lower side is a
-    proxy built only from exact moment functionals, never from the metric
-    infimum itself.
+    Radial flows commute, and a homogeneous quasi-morphism is linear on
+    commuting elements, so the homogenized n-point signature of g_v is
+    pi^(n-1) sum_j v_j R_nj with R_nj = ``signature_response`` of h_j.
+    Hypothesis: the m x m matrix R over the rows n = 3, 5, ..., 2m+1 is
+    nonsingular.  Lower side, for every v: max_i |(R v)_i| >= c1 |v|_inf
+    with c1 = 1/||R^-1||_inf.  Upper side: the length of g_v's isotopy is
+    at most max_j length_j * |v|_1 (an exact even-p comparison of speed
+    moments).  Both sides run in rational arithmetic; neither computes the
+    metric infimum itself.
     """
     if not profiles or not vectors:
         raise InputError("need profiles and vectors")
-    moments = [signature_moment(h, 3) for h in profiles]
-    if any(m == 0 for m in moments) or len({m > 0 for m in moments}) != 1:
-        failure = "a moment vanishes" if 0 in moments else "moments change sign"
-        return Report(
-            "bilipschitz_disc",
-            False,
-            math.nan,
-            {"hypothesis_failure": failure, "moments": [float(m) for m in moments]},
-        )
-    single_moments = [
-        lp_speed_moment_exact(make_flow([(h, 1)]), p) for h in profiles
-    ]
-    c1 = min(abs(m) for m in moments)
-    max_speed_moment = max(single_moments)
+    flows = [make_flow([(h, 1)]) for h in profiles]
+    # Odd rows only: P_n' is symmetric about y = 1/2 for even n, so an even
+    # row vanishes on every profile odd about 1/2, such as the hs family.
+    rows = [2 * i + 3 for i in range(len(flows))]
+    response = [[signature_response(f, n) for f in flows] for n in rows]
+    details = {"rows": rows, "response": [[float(x) for x in row] for row in response]}
+    inverse = _exact_inverse(response)
+    if inverse is None:
+        return Report("bilipschitz_disc", False, math.nan, {**details, "hypothesis_failure": "singular"})
+    c1 = 1 / max(sum(abs(x) for x in row) for row in inverse)
+    max_speed_moment = max(lp_speed_moment_exact(f, p) for f in flows)
     c2 = math.pi ** (1.0 / p) * float(max_speed_moment) ** (1.0 / p)
 
-    worst = None
-    mixed_sign = 0
+    worst = math.inf
     for vec in vectors:
         v = [Fraction(x) for x in vec]
-        if len(v) != len(profiles):
+        if len(v) != len(flows):
             raise InputError("vector length does not match profile count")
-        norm1 = sum(abs(x) for x in v)
-        if norm1 == 0:
-            continue
-        if any(x < 0 for x in v) and any(x > 0 for x in v):
-            mixed_sign += 1
-            continue
-        lower = abs(sum(x * m for x, m in zip(v, moments)))
-        lower_margin = lower - c1 * norm1
+        lower = max(abs(sum(r * x for r, x in zip(row, v))) for row in response)
+        lower_margin = lower - c1 * max(abs(x) for x in v)
         combined = make_flow([(h, x) for h, x in zip(profiles, v)])
-        m_combined = lp_speed_moment_exact(combined, p)
-        upper_margin = max_speed_moment * norm1**p - m_combined
-        margin = min(float(lower_margin), float(upper_margin))
-        if worst is None or margin < worst:
-            worst = margin
-    passed = worst is not None and worst >= 0.0
+        upper_margin = max_speed_moment * sum(abs(x) for x in v) ** p - lp_speed_moment_exact(combined, p)
+        worst = min(worst, float(lower_margin), float(upper_margin))
     return Report(
         "bilipschitz_disc",
-        passed,
-        worst if worst is not None else math.nan,
-        {
-            "c1": float(c1),
-            "c2": c2,
-            "moments": [float(m) for m in moments],
-            "vectors": len(vectors),
-            "mixed_sign_skipped": mixed_sign,
-            "exact": True,
-        },
+        worst >= 0.0,
+        worst,
+        {**details, "c1": float(c1), "c2": c2, "vectors": len(vectors), "exact": True},
     )
 
 
-def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
+def _exact_inverse(rows: list[list[Fraction]]) -> Optional[list[list[Fraction]]]:
+    """Inverse of a square rational matrix by Gauss-Jordan; None when singular."""
     n = len(rows)
-    m = [row[:] for row in rows]
-    det = Fraction(1)
+    work = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
     for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
+        pivot = next((i for i in range(k, n) if work[i][k] != 0), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = -det
-        det *= m[k][k]
-        for r in range(k + 1, n):
-            factor = m[r][k] / m[k][k]
-            if factor != 0:
-                for c in range(k, n):
-                    m[r][c] -= factor * m[k][c]
-    return det
-
-
-def check_signature_matrix(profiles: Sequence[RadialProfile]) -> Report:
-    """Nonsingularity of the moment matrix M[j][i] = int y^{j+1} h_i.
-
-    Rows are the signature responses for 3..n+2 marked points up to the
-    positive per-row constants, which rescale rows and cannot change
-    singularity; the determinant is computed exactly.
-    """
-    if not profiles:
-        raise InputError("need at least one profile")
-    n = len(profiles)
-    rows = [[profiles[i].moment(j + 1) for i in range(n)] for j in range(n)]
-    det = _det_fraction(rows)
-    passed = det != 0
-    return Report(
-        "signature_matrix",
-        passed,
-        float(abs(det)),
-        {
-            "determinant": [det.numerator, det.denominator],
-            "size": n,
-            "matrix": [[float(x) for x in row] for row in rows],
-        },
-    )
+            return None
+        work[k], work[pivot] = work[pivot], work[k]
+        work[k] = [x / work[k][k] for x in work[k]]
+        for r in range(n):
+            if r != k and work[r][k] != 0:
+                f = work[r][k]
+                work[r] = [x - f * y for x, y in zip(work[r], work[k])]
+    return [row[n:] for row in work]
 
 
 def _exact_lobe_sign(profile: RadialProfile, lo: Fraction, hi: Fraction, positive: bool) -> bool:
@@ -598,15 +552,14 @@ def battery(
     points = 21 if desk else 50  # evenly spaced over [1/4, 1/3]
     s_grid = [Fraction(1, 4) + Fraction(1, 12) * Fraction(k, points - 1) for k in range(points)]
     hs = [make_hs_profile(Fraction(1, 4) + Fraction(k, 60)) for k in range(5)]
-    den = 64 if desk else 128  # vector entries on the 1/den grid in (0, 4)
+    den = 64 if desk else 128  # vector entries on the 1/den grid in (-4, 0) and (0, 4)
     rng = np.random.default_rng(seed)
     vectors = [
-        [Fraction(int(x), den) for x in rng.integers(1, 4 * den, size=5)]
+        [Fraction(int(x), den) for x in rng.integers(1, 4 * den, size=5) * rng.choice((-1, 1), size=5)]
         for _ in range(trials // 5 or 1)
     ]
     family = [make_flow([(bump(20), t)]) for t in range(1, 9)]
     return entries + [
-        ("signature-matrix", "signature-matrix", partial(check_signature_matrix, profiles)),
         ("hs-family", "hs-family", partial(check_hs_family, s_grid)),
         ("bilipschitz", "bilipschitz", partial(check_bilipschitz_disc, hs, vectors, p=2)),
         ("calabi", "calabi-proportionality", partial(

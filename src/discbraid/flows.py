@@ -23,7 +23,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import InputError
-from .poly import add, integral, mul, real_roots, shift
+from .poly import Poly, add, integral, mul, real_roots, shift
 from .profiles import RadialProfile, profile_from_json, profile_to_json
 
 __all__ = [
@@ -35,6 +35,8 @@ __all__ = [
     "calabi",
     "calabi_coefficient",
     "signature_moment",
+    "signature_weight",
+    "signature_response",
     "check_lp_exponent",
     "lp_length_radial",
     "lp_speed_moment_exact",
@@ -168,10 +170,45 @@ def calabi(spec: FlowSpec) -> float:
 
 
 def signature_moment(profile: RadialProfile, n: int) -> Fraction:
-    """Exact int_0^1 y^{n-2} h(y) dy, the n-strand signature response moment."""
+    """Exact int_0^1 y^{n-2} h(y) dy; a moment, not the n-point response (``signature_response``)."""
     if n < 3:
         raise InputError("signature moments are defined for n >= 3")
     return profile.moment(n - 2)
+
+
+def signature_weight(n: int) -> Poly:
+    """P_n = sum_k s_k n C(n-1, k-1) y^(k-1) (1-y)^(n-k), s_k = -2 floor(k/2).
+
+    The k-th term is s_k times the density of the k-th smallest of n
+    uniform values of y = r^2; s_k is the homogenized signature of one
+    whole turn of the k-th innermost point around the inner ones.
+    """
+    if n < 2:
+        raise InputError("signature responses are defined for n >= 2")
+    weight: Poly = (Fraction(0),)
+    for k in range(2, n + 1):  # s_1 = 0
+        scale = -2 * (k // 2) * n * math.comb(n - 1, k - 1)
+        term = tuple(Fraction(scale * math.comb(n - k, j) * (-1) ** j) for j in range(n - k + 1))
+        weight = add(weight, shift(term, k - 1))  # scale * y^(k-1) (1-y)^(n-k)
+    return weight
+
+
+def signature_response(spec: FlowSpec, n: int) -> Fraction:
+    """Exact coefficient of pi^(n-1) in the homogenized n-point signature.
+
+    A point at y = r^2 turns at the rate 2 t h'(y), so the value is
+    sum_terms t int_0^1 h' P_n with P_n = ``signature_weight(n)``.  There is
+    no boundary term, so a rigid rotation works too.  Needs rational times.
+    """
+    if not spec.times_are_rational():
+        raise InputError("exact signature response needs rational time coefficients")
+    weight = signature_weight(n)
+    total = Fraction(0)
+    for h, t in spec.terms:
+        d = h.derivative()
+        for k, piece in enumerate(d.pieces):
+            total += Fraction(t) * integral(mul(piece, weight), d.breakpoints[k], d.breakpoints[k + 1])
+    return total
 
 
 def _derivative_integrand_pieces(profile: RadialProfile):

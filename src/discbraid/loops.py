@@ -35,6 +35,7 @@ __all__ = [
     "TrajectoryBundle",
     "closest_pair",
     "gg_loop",
+    "loop_samples",
     "loop_winding",
     "extract_braid",
     "extract_braid_auto",
@@ -48,6 +49,8 @@ __all__ = [
 ]
 
 COINCIDENCE_THRESHOLD = 1e-9
+# Most positions one sampled loop may hold (16 bytes each, so 256 MiB).
+MAX_LOOP_POSITIONS = 2**24
 
 
 @dataclass(frozen=True)
@@ -94,6 +97,22 @@ def closest_pair(points) -> tuple[float, int, int]:
     return best
 
 
+def loop_samples(flow: FlowSpec, n: int, samples_per_segment: int | None = None) -> int:
+    """Subintervals per third of an n-strand ``gg_loop``, by default scaled to
+    the flow's angular speed bound so relative windings stay resolved.
+
+    InputError, before any sampling, for a flow turning faster than
+    ``flows.MAX_ROTATION`` or a loop of over MAX_LOOP_POSITIONS positions.
+    """
+    bound = check_rotation(flow)
+    m = max(32, math.ceil(8.0 * bound)) if samples_per_segment is None else int(samples_per_segment)
+    if m < 2:
+        raise InputError("need at least 2 samples per segment")
+    if n * (3 * m + 1) > MAX_LOOP_POSITIONS:
+        raise InputError(f"{n} strands of {m} samples per third exceed {MAX_LOOP_POSITIONS} positions")
+    return m
+
+
 def gg_loop(
     base,
     start,
@@ -102,9 +121,8 @@ def gg_loop(
 ) -> TrajectoryBundle:
     """Sample the loop: lines out from ``base``, flow orbit, lines back.
 
-    ``samples_per_segment`` counts the subintervals per third; by default it
-    scales with the flow's angular speed bound so relative windings stay
-    resolved.  A flow turning faster than ``flows.MAX_ROTATION`` is an InputError.
+    ``samples_per_segment`` counts the subintervals per third, as checked
+    and defaulted by ``loop_samples``.
     """
     z = np.asarray(base, dtype=float)
     x = np.asarray(start, dtype=float)
@@ -114,12 +132,7 @@ def gg_loop(
         d, i, j = closest_pair(points)
         if d < COINCIDENCE_THRESHOLD:
             raise InputError(f"{label} points {i} and {j} coincide")
-    bound = check_rotation(flow)
-    if samples_per_segment is None:
-        samples_per_segment = max(32, int(math.ceil(8.0 * bound)))
-    m = int(samples_per_segment)
-    if m < 2:
-        raise InputError("need at least 2 samples per segment")
+    m = loop_samples(flow, len(z), samples_per_segment)
 
     s = np.linspace(0.0, 1.0, m + 1)
     seg1 = z[:, None, :] + (x - z)[:, None, :] * s[None, :, None]

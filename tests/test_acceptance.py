@@ -21,7 +21,6 @@ from discbraid.experiments import (
     check_crossing_bound,
     check_hs_family,
     check_lipschitz,
-    check_signature_matrix,
 )
 from discbraid.flows import (
     flow_to_json,
@@ -300,12 +299,13 @@ def test_criterion_10_signature_matrix():
         polynomial_bump(Fraction(1, 4), Fraction(3, 4), 96),
         polynomial_bump(Fraction(3, 8), Fraction(7, 8), 48),
     ]
-    rep = check_signature_matrix(profiles)
+    vectors = [[1, -1, 2], [0, Fraction(3, 2), -1]]
+    rep = check_bilipschitz_disc(profiles, vectors)
     assert rep.passed
-    negative = check_signature_matrix([profiles[0], profiles[0], profiles[2]])
+    negative = check_bilipschitz_disc([profiles[0], profiles[0], profiles[2]], vectors)
     assert not negative.passed
     elapsed = watch.done("signature matrix")
-    announce(10, "moment matrix nonsingular; duplicate control singular", elapsed)
+    announce(10, "signature response matrix nonsingular; duplicate control singular", elapsed)
 
 
 def test_criterion_11_bilipschitz_sandwich():
@@ -348,7 +348,7 @@ def test_criterion_12_cli_reproducibility(tmp_path, capsys):
         assert run(*estimate_args, "--threads", str(threads)) == base
 
     verify_args = (
-        "verify", "--checks", "crossing-bound,signature-matrix,hs-family",
+        "verify", "--checks", "crossing-bound,bilipschitz,hs-family",
         "--trials", "25", "--seed", "12",
     )
     v1 = run(*verify_args, "--threads", "1")

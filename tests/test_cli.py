@@ -103,12 +103,16 @@ class TestEstimate:
         assert doc["std_error"] == 0.0
 
     def test_threads_do_not_change_numbers(self, capsys, bump_flow_file):
-        argv = ["estimate", "--phi", "lk", "--n", "2", "--flow", bump_flow_file,
-                "--samples", "1200", "--seed", "5"]
-        _, out1, _ = run_cli(capsys, *argv, "--threads", "1")
-        _, out2, _ = run_cli(capsys, *argv, "--threads", "2")
         strip = lambda s: [l for l in s.splitlines() if not l.startswith("#")]
-        assert strip(out1) == strip(out2)
+        for phi_args in (
+            ["--phi", "lk", "--n", "2", "--samples", "1200"],
+            # two chunks of the signature route, so two threads start workers
+            ["--phi", "signature", "--n", "3", "--samples", "600", "--k-schedule", "1,2"],
+        ):
+            argv = ["estimate", *phi_args, "--flow", bump_flow_file, "--seed", "5"]
+            _, out1, _ = run_cli(capsys, *argv, "--threads", "1")
+            _, out2, _ = run_cli(capsys, *argv, "--threads", "2")
+            assert strip(out1) == strip(out2)
 
     def test_repeat_identical_bytes(self, capsys, bump_flow_file):
         argv = ["estimate", "--phi", "lk", "--n", "2", "--flow", bump_flow_file,
@@ -281,6 +285,20 @@ class TestMalformedFractions:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "InputError"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--phi", "signature", "--n", "3", "--samples", "20", "--time", "1e6"],
+            ["braid-extract", "--start", "0.5,0;-0.5,0", "--samples-per-segment", "1000000000"],
+        ],
+        ids=["estimate-signature", "braid-extract"],
+    )
+    def test_oversized_loop_is_input_error(self, capsys, profile_file, argv):
+        code, out, err = run_cli(capsys, *argv, "--profile", profile_file)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "InputError"
+        assert "positions" in json.loads(err)["message"]
+
     @pytest.mark.parametrize("text", ["abc", "1/0", "nan"])
     def test_bad_hs_parameter_is_input_error(self, capsys, text):
         code, out, err = run_cli(capsys, "make-hs", "--s", text)
@@ -343,13 +361,13 @@ class TestVerify:
         report = tmp_path / "report.json"
         code, out, _ = run_cli(
             capsys, "verify", "--checks",
-            "crossing-bound,word-length,signature-matrix,hs-family,bilipschitz",
+            "crossing-bound,word-length,hs-family,bilipschitz",
             "--trials", "20", "--report", str(report),
         )
         assert code == 0
-        assert out.count("PASS") == 5
+        assert out.count("PASS") == 4
         doc = json.loads(report.read_text())
-        assert len(doc) == 5 and all(entry["passed"] for entry in doc)
+        assert len(doc) == 4 and all(entry["passed"] for entry in doc)
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(

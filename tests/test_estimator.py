@@ -16,7 +16,7 @@ from discbraid.estimator import (
     estimate_phi_n,
     estimate_phi_tilde_n,
 )
-from discbraid.flows import calabi, make_flow
+from discbraid.flows import calabi, make_flow, signature_response
 from discbraid.loops import COINCIDENCE_THRESHOLD, loop_winding
 from discbraid.profiles import make_hs_profile, polynomial_bump, rotation_profile
 from discbraid.quasimorphisms import linking_quasimorphism, signature_quasimorphism
@@ -78,6 +78,21 @@ class TestEstimatePhi:
                 estimate_phi_tilde_n(bump_flow(), phi, 2, samples=10, k_schedule=(1, 10**9))
             with pytest.raises(InputError):
                 estimate_phi_tilde_n(bump_flow(), phi, 2, samples=10, k_schedule=(1, 10**400))
+
+    def test_oversized_loop_rejected_before_sampling(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before the loop size check")
+
+        monkeypatch.setattr(est_mod, "sample_configs", no_sampling)
+        sig = signature_quasimorphism()
+        with pytest.raises(InputError, match="positions"):
+            estimate_phi_n(bump_flow(t=10**6), sig, 3, samples=10)
+        with pytest.raises(InputError, match="positions"):
+            estimate_phi_tilde_n(bump_flow(t=1000), sig, 3, samples=10, k_schedule=(1, 2000))
+        monkeypatch.undo()
+        # the closed form samples no loop, so the same flow is fine for lk
+        est = estimate_phi_n(bump_flow(t=10**6), LK, 2, samples=10)
+        assert est.samples + est.rejected == 10
 
     def test_deterministic_same_seed(self):
         flow = bump_flow()
@@ -248,6 +263,29 @@ class TestEstimatePhiTilde:
             for t in (1, 4)
         ]
         assert values[1] > 2 * values[0]  # the terms themselves do grow
+
+
+class TestSignatureOracle:
+    # the exact response against Monte Carlo at n = 3, where k = (1, 2) has settled
+    hs = [make_hs_profile(Fraction(1, 4) + Fraction(k, 60)) for k in (0, 2, 4)]
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [(polynomial_bump(Fraction(1, 4), Fraction(3, 4), 20), 1)],
+            [(hs[0], 4)],
+            [(polynomial_bump(Fraction(1, 8), Fraction(1, 2), 60), Fraction(-1, 2))],
+            [(hs[0], Fraction(3, 2)), (hs[2], Fraction(-5, 2)), (hs[1], 1)],
+        ],
+        ids=["bump", "hs", "negative-time", "three-terms"],
+    )
+    def test_monte_carlo_agrees(self, terms):
+        flow = make_flow(terms)
+        exact = math.pi**2 * float(signature_response(flow, 3))
+        est = estimate_phi_tilde_n(
+            flow, signature_quasimorphism(), 3, samples=2000, k_schedule=(1, 2), seed=11
+        )
+        assert abs(est.value - exact) <= 3 * est.std_error
 
 
 class TestCalibrate:

@@ -21,12 +21,11 @@ from discbraid.experiments import (
     check_crossing_bound,
     check_hs_family,
     check_lipschitz,
-    check_signature_matrix,
     check_word_length_bound,
     linear_fit,
 )
 from discbraid.flows import make_flow
-from discbraid.profiles import RadialProfile, make_hs_profile, polynomial_bump
+from discbraid.profiles import make_hs_profile, polynomial_bump
 from discbraid.quasimorphisms import linking_quasimorphism, signature_quasimorphism
 
 
@@ -95,22 +94,25 @@ class TestWordLengthBound:
 
 
 class TestSignatureMatrix:
+    # the bi-Lipschitz hypothesis: the exact response matrix is nonsingular
     def test_single_profile(self):
-        h = RadialProfile(
-            (Fraction(0), Fraction(1)), ((Fraction(0), Fraction(1), Fraction(-1)),), 1
-        )
-        rep = check_signature_matrix([h])
+        # a 1 x 1 response 12 INT h (1 - y) = 3/5, so the lower side is tight
+        rep = check_bilipschitz_disc([bump(2, 6, 96)], [[1], [Fraction(-7, 3)]])
         assert rep.passed
-        assert rep.details["determinant"] == [1, 12]
+        assert rep.details["rows"] == [3]
+        assert rep.details["response"] == [[0.6]]
+        assert rep.details["c1"] == 0.6
+        assert rep.margin == 0.0
 
     def test_three_distinct_supports(self):
-        rep = check_signature_matrix(THREE_PROFILES)
+        rep = check_bilipschitz_disc(THREE_PROFILES, [[1, -2, Fraction(1, 3)]])
         assert rep.passed
+        assert rep.details["rows"] == [3, 5, 7]
 
     def test_duplicate_is_singular(self):
-        rep = check_signature_matrix([THREE_PROFILES[0], THREE_PROFILES[0]])
+        rep = check_bilipschitz_disc([THREE_PROFILES[0], THREE_PROFILES[0]], [[1, 1]])
         assert not rep.passed
-        assert rep.details["determinant"] == [0, 1]
+        assert rep.details["hypothesis_failure"] == "singular"
 
 
 class TestHsFamily:
@@ -156,10 +158,21 @@ class TestBilipschitz:
         assert not rep.passed
         assert "hypothesis_failure" in rep.details
 
-    def test_mixed_sign_vectors_skipped(self):
-        hs = [make_hs_profile(Fraction(1, 4)), make_hs_profile(Fraction(1, 3))]
-        rep = check_bilipschitz_disc(hs, [[1, -1], [1, 1]])
-        assert rep.details["mixed_sign_skipped"] == 1
+    def test_mixed_sign_vectors_checked(self):
+        hs = [make_hs_profile(Fraction(1, 4) + Fraction(k, 60)) for k in range(5)]
+        rng = np.random.default_rng(6)
+        vectors = [
+            [Fraction(int(v), 16) for v in rng.integers(1, 64, size=5) * rng.choice((-1, 1), size=5)]
+            for _ in range(10)
+        ]
+        assert any(min(v) < 0 < max(v) for v in vectors)
+        rep = check_bilipschitz_disc(hs, vectors)
+        assert rep.passed and rep.margin >= 0
+        assert rep.details["vectors"] == 10 and rep.details["rows"] == [3, 5, 7, 9, 11]
+
+    def test_zero_vector_is_checked(self):
+        rep = check_bilipschitz_disc(THREE_PROFILES, [[0, 0, 0]])
+        assert rep.passed and rep.margin == 0.0
 
 
 class TestMonteCarloChecks:
@@ -261,7 +274,6 @@ class TestBattery:
         "crossing-bound flow 2",
         "word-length lk",
         "word-length signature",
-        "signature-matrix",
         "hs-family",
         "bilipschitz",
         "calabi-proportionality",
@@ -274,6 +286,13 @@ class TestBattery:
         assert len(desk) == len(set(desk))  # one report per check at desk scale
         assert set(desk) == set(acceptance)
         assert [label for _, label, _ in battery("acceptance")] == self.ACCEPTANCE_LABELS
+
+    def test_bilipschitz_vectors_mix_signs(self):
+        for scale in ("desk", "acceptance"):
+            run = next(run for name, _, run in battery(scale) if name == "bilipschitz")
+            vectors = run.args[1]
+            assert all(x != 0 for v in vectors for x in v)
+            assert any(min(v) < 0 < max(v) for v in vectors)
 
     def test_unknown_scale(self):
         with pytest.raises(InputError):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from discbraid.braids import concat, make_word, power
 from discbraid.errors import InputError
 from discbraid.flows import (
     MAX_ROTATION,
@@ -21,7 +22,10 @@ from discbraid.flows import (
     make_flow,
     radial_flow_apply,
     signature_moment,
+    signature_response,
+    signature_weight,
 )
+from discbraid.poly import derivative, evaluate
 from discbraid.profiles import (
     RadialProfile,
     make_hs_profile,
@@ -29,6 +33,7 @@ from discbraid.profiles import (
     rotation_profile,
     zero_profile,
 )
+from discbraid.seifert import braid_signature
 
 Y_TIMES_ONE_MINUS_Y = RadialProfile(
     (Fraction(0), Fraction(1)), ((Fraction(0), Fraction(1), Fraction(-1)),), 1
@@ -154,6 +159,66 @@ class TestSignatureMoment:
     def test_n_validation(self):
         with pytest.raises(InputError):
             signature_moment(zero_profile(), 2)
+
+
+class TestSignatureResponse:
+    CRITERION_7 = [
+        polynomial_bump(Fraction(1, 8), Fraction(1, 2), 60),
+        polynomial_bump(Fraction(1, 4), Fraction(3, 4), 96),
+        polynomial_bump(Fraction(3, 8), Fraction(7, 8), 48),
+    ]
+
+    def test_weight_derivatives(self):
+        assert derivative(signature_weight(3)) == (-12, 12)
+        assert derivative(signature_weight(4)) == (-24, 48, -48)
+        assert derivative(signature_weight(5)) == (-40, 120, -240, 160)
+
+    def test_two_points_is_twice_calabi(self):
+        for h, t in zip(self.CRITERION_7, (1, Fraction(-3, 2), 7)):
+            flow = make_flow([(h, t)])
+            assert signature_response(flow, 2) == 2 * calabi_coefficient(flow)
+
+    def test_even_rows_vanish_on_the_hs_family(self):
+        for s in (Fraction(1, 4), Fraction(7, 24), Fraction(1, 3)):
+            flow = make_flow([(make_hs_profile(s), 1)])
+            assert [signature_response(flow, n) for n in (2, 4, 6)] == [0, 0, 0]
+            assert signature_response(flow, 3) != 0
+
+    def test_linear_in_terms(self):
+        h1, h2 = self.CRITERION_7[:2]
+        both = make_flow([(h1, 2), (h2, Fraction(-5, 3))])
+        for n in (3, 4, 5):
+            assert signature_response(both, n) == 2 * signature_response(
+                make_flow([(h1, 1)]), n
+            ) - Fraction(5, 3) * signature_response(make_flow([(h2, 1)]), n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_turn_weights_are_braid_signatures(self, n):
+        # s_k = P_k(1) / k is the homogenized signature of one turn of the
+        # k-th innermost point around the inner ones, the braid delta_k
+        rng = np.random.default_rng(n)
+        weights = [evaluate(signature_weight(k), 1) / k if k > 1 else 0 for k in range(1, n + 1)]
+        turns = 5
+        for _ in range(25):
+            m = rng.integers(-3, 4, size=n)
+            word = make_word([], n)
+            for k in range(2, n + 1):
+                delta = make_word(list(range(k - 1, 0, -1)) + list(range(1, k)), n)
+                word = concat(word, power(delta, turns * int(m[k - 1])))
+            expected = turns * sum(w * int(x) for w, x in zip(weights, m))
+            assert abs(braid_signature(word) - expected) <= 2
+
+    def test_rigid_rotation(self):
+        # one radian is 1/(2 pi) full twists, and Delta_3^2 homogenizes to -4
+        assert signature_response(rotation_flow(1), 3) == -2
+
+    def test_float_time_rejected(self):
+        with pytest.raises(InputError):
+            signature_response(make_flow([(self.CRITERION_7[0], 0.5)]), 3)
+
+    def test_n_validation(self):
+        with pytest.raises(InputError):
+            signature_response(make_flow([(self.CRITERION_7[0], 1)]), 1)
 
 
 class TestLpLength:

@@ -17,8 +17,10 @@ from discbraid.loops import (
     extract_braid,
     extract_braid_auto,
     gg_loop,
+    MAX_LOOP_POSITIONS,
     initial_order,
     loop_braid,
+    loop_samples,
     perturb_direction,
     read_trajectory_csv,
     signed_winding,
@@ -78,6 +80,23 @@ class TestBundle:
         z = polygon(2)
         with pytest.raises(InputError):
             gg_loop(np.array([[0.1, 0.1], [0.1, 0.1]]), z, make_flow([]), 8)
+
+    def test_loop_size_bound(self):
+        most = (MAX_LOOP_POSITIONS // 2 - 1) // 3  # 2 strands of 3m+1 positions each
+        assert loop_samples(make_flow([]), 2, most) == most
+        with pytest.raises(InputError, match="positions"):
+            loop_samples(make_flow([]), 2, most + 1)
+        assert loop_samples(bump_flow(), 3) == 32  # slow flows keep the floor
+        with pytest.raises(InputError, match="positions"):
+            loop_samples(bump_flow(t=10**6), 3)  # under MAX_ROTATION, still too many samples
+
+    def test_oversized_loop_rejected_before_allocation(self, monkeypatch):
+        def no_allocation(*args):
+            raise AssertionError("allocated before the loop size check")
+
+        monkeypatch.setattr(np, "linspace", no_allocation)
+        with pytest.raises(InputError, match="positions"):
+            gg_loop(polygon(2), polygon(2, 0.3), make_flow([]), 10**9)
 
 
 class TestExtraction:
