@@ -28,6 +28,7 @@ from .experiments import battery
 from .flows import flow_from_json, lp_length_radial, make_flow, radial_flow_apply
 from .lengths import lp_length_of_bundle, lp_length_sampled
 from .loops import (
+    coincidence_free,
     extract_braid_auto,
     gg_loop,
     loop_braid,
@@ -141,6 +142,8 @@ def cmd_braid_extract(args) -> int:
         start = _parse_points(args.start)
         base = _parse_points(args.base) if args.base else default_base(len(start))
         bundle = gg_loop(base, start, flow, args.samples_per_segment)
+        if not coincidence_free(flow, base, start[None])[0]:
+            raise InputError("two strands pass through each other along the loop, so it has no braid")
         source = {"start": args.start, "base": args.base}
     if args.emit_trajectory:
         with open(args.emit_trajectory, "w") as fh:
@@ -263,7 +266,7 @@ def cmd_verify(args) -> int:
         print(f"{'PASS' if rep.passed else 'FAIL'} {rep.check} margin={rep.margin:.6g}")
     if args.report:
         with open(args.report, "w") as fh:
-            json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)
+            json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     return 0 if all(r.passed for r in reports) else 1
 
@@ -322,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--unchecked", action="store_true")
     sp.add_argument("--start", help="start configuration 'x,y;x,y;...'")
     sp.add_argument("--base", help="base configuration; defaults to a polygon")
-    sp.add_argument("--samples-per-segment", type=int, default=None)
+    sp.add_argument("--samples-per-segment", type=int, help="subintervals of the flow orbit")
     sp.add_argument("--direction", default="1,0")
     sp.add_argument("--emit-trajectory", help="also write the bundle CSV here")
     sp.set_defaults(func=cmd_braid_extract)
@@ -379,6 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed < 0:  # seeds key numpy's SeedSequence, which takes no negative entropy
+        parser.error(f"--seed must be a non-negative integer, got {args.seed}")
     try:
         return args.func(args)
     except (InputError, DegeneracyError, DegenerateConfigurationError) as exc:

@@ -9,8 +9,8 @@ A linking number lk[i,j], at any n and for any pair, is the number of
 turns of x_i - x_j around the loop, which ``loops.loop_winding`` gives in
 closed form for a whole chunk, in the calling process.  The signature goes
 through braid extraction, one configuration at a time, and it alone uses
-worker processes.  Both reject a pair that passes within the coincidence
-threshold along the loop.
+worker processes.  Both reject a pair (lk: the linked one) whose
+``loop_winding`` is undefined: it passes through the other along the loop.
 
 Reproducibility contract: all randomness is derived from one user seed via
 (seed, task, chunk) keyed generators over fixed-size chunks, and partial
@@ -32,8 +32,10 @@ from .errors import DegeneracyError, InputError
 from .flows import FlowSpec, check_rotation
 from .loops import (
     COINCIDENCE_THRESHOLD,
+    MAX_LOOP_POSITIONS,
     DegenerateConfigurationError,
     closest_pair,
+    coincidence_free,
     gg_loop,
     loop_braid,
     loop_samples,
@@ -46,14 +48,14 @@ __all__ = [
     "CalibrationResult",
     "default_base",
     "sample_configs",
-    "config_loop",
+    "config_loops",
     "estimate_phi_n",
     "estimate_phi_tilde_n",
     "calibrate_constant",
 ]
 
 CHUNK_SAMPLES = 512
-MIN_SEPARATION = 1e-6
+MAX_SAMPLES = 2**30  # the chunk list and its partial results stay in memory
 
 TASK_PHI = 1
 TASK_DEFECT = 2
@@ -100,19 +102,30 @@ def sample_configs(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
     return np.stack((r * np.cos(theta), r * np.sin(theta)), axis=-1)
 
 
-def config_loop(flow: FlowSpec, base: np.ndarray, config: np.ndarray):
-    """(loop bundle, loop braid) of one configuration, or None when rejected.
+def _checked_base(base, n: int) -> np.ndarray:
+    """The base (``default_base`` for None) as an (n, 2) array; InputError for
+    another shape or a coincident pair."""
+    base = default_base(n) if base is None else np.asarray(base, dtype=float)
+    if base.shape != (n, 2):
+        raise InputError(f"base must be ({n}, 2), got {base.shape}")
+    d, i, j = closest_pair(base)
+    if d < COINCIDENCE_THRESHOLD:
+        raise InputError(f"base points {i} and {j} coincide")
+    return base
 
-    Rejected are configurations with a pair closer than MIN_SEPARATION and
-    those whose extraction stays degenerate after direction perturbations.
-    """
-    if closest_pair(config)[0] < MIN_SEPARATION:
-        return None
-    try:
+
+def config_loops(flow: FlowSpec, base, configs: np.ndarray):
+    """(loop bundle, loop braid) of each (count, n, 2) configuration that is
+    ``coincidence_free`` and whose extraction is not degenerate; the base
+    (None for ``default_base``) is checked once."""
+    base = _checked_base(base, configs.shape[1])
+    for config in configs[coincidence_free(flow, base, configs)]:
         bundle = gg_loop(base, config, flow)
-        return bundle, loop_braid(bundle)
-    except DegenerateConfigurationError:
-        return None
+        try:
+            word = loop_braid(bundle)
+        except DegenerateConfigurationError:
+            continue
+        yield bundle, word
 
 
 def _linking_pair(phi: QuasimorphismSpec, n: int):
@@ -133,13 +146,6 @@ def _check_size(flow: FlowSpec, phi: QuasimorphismSpec, n: int) -> None:
         check_rotation(flow)
 
 
-def _separated(configs: np.ndarray) -> np.ndarray:
-    """Mask of configurations whose closest pair is MIN_SEPARATION or more apart."""
-    a, b = np.triu_indices(configs.shape[1], 1)
-    rel = configs[:, a] - configs[:, b]
-    return np.hypot(rel[..., 0], rel[..., 1]).min(axis=1) >= MIN_SEPARATION
-
-
 def _phi_chunk(
     flow: FlowSpec,
     phi: QuasimorphismSpec,
@@ -154,14 +160,9 @@ def _phi_chunk(
     configs = sample_configs(rng, count, n)
     pair = _linking_pair(phi, n)
     if pair is None:
-        # a pair passing through each other has no braid; reject it as lk does
-        kept = configs[_separated(configs)]
-        for i, j in zip(*np.triu_indices(n, 1)):
-            kept = kept[~np.isnan(loop_winding(flow, base, kept, i, j))]
-        loops = (config_loop(flow, base, c) for c in kept)
-        values = [float(phi(loop[1])) for loop in loops if loop is not None]
+        values = [float(phi(word)) for _bundle, word in config_loops(flow, base, configs)]
     else:
-        turns = loop_winding(flow, base, configs[_separated(configs)], *pair)
+        turns = loop_winding(flow, base, configs, *pair)
         values = np.rint(turns[~np.isnan(turns)]).tolist()
     total = total_sq = 0.0
     for val in values:
@@ -181,24 +182,18 @@ def estimate_phi_n(
 ) -> QmEstimate:
     """Estimate the configuration integral of phi over loop braids of the flow.
 
-    Configurations are uniform on the disc power; tuples with a pair closer
-    than the separation threshold are rejected and counted, and so are
-    those with a pair (the linked pair, for a linking spec) that comes
-    within the coincidence threshold along the loop, and those whose
-    extraction stays degenerate after direction perturbations.  The value
-    is the accepted-sample mean scaled by pi^n; ``threads`` workers share
+    Configurations are uniform on the disc power.  Rejected and counted are
+    those with a pair (the linked pair, for a linking spec) whose
+    ``loop_winding`` is undefined, and those whose extraction stays
+    degenerate after direction perturbations.  The value is the
+    accepted-sample mean scaled by pi^n; ``threads`` workers share
     the chunks of a spec with no closed form.
     """
-    if n < 2:
-        raise InputError("need n >= 2 marked points")
-    if samples < 1:
-        raise InputError("need at least one sample")
-    base = default_base(n) if base is None else np.asarray(base, dtype=float)
-    if base.shape != (n, 2):
-        raise InputError(f"base must be ({n}, 2), got {base.shape}")
-    d, i, j = closest_pair(base)
-    if d < COINCIDENCE_THRESHOLD:
-        raise InputError(f"base points {i} and {j} coincide")
+    if not 2 <= n <= MAX_LOOP_POSITIONS // CHUNK_SAMPLES:  # a chunk holds at most a loop's positions
+        raise InputError(f"need 2 to {MAX_LOOP_POSITIONS // CHUNK_SAMPLES} marked points, got {n}")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise InputError(f"need 1 to {MAX_SAMPLES} samples, got {samples}")
+    base = _checked_base(base, n)
     pair = _linking_pair(phi, n)
     _check_size(flow, phi, n)
 

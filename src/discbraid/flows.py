@@ -307,7 +307,7 @@ def integrate_flow_numeric(profile: RadialProfile, t: float, point, step: float)
     if step <= 0:
         raise InputError("step must be positive")
     d = profile.derivative()
-    breaks, coeffs = d._float_compiled
+    breaks, coeffs = d.float_pieces
 
     def velocity(x, y):
         r2 = x * x + y * y
@@ -364,7 +364,7 @@ def flow_from_json(text: str, validate: bool | None = None) -> FlowSpec:
             t = Fraction(t[0], t[1]) if isinstance(t, list) else float(t)
             terms.append((h, t))
         unchecked = bool(doc.get("unchecked", False))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise InputError(f"malformed flow document: {exc}") from exc
     if validate is None:
         validate = not unchecked

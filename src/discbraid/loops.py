@@ -1,10 +1,10 @@
 """Configuration-space loops and braid extraction from disc trajectories.
 
 The loop construction for a flow g and an n-point configuration x follows
-the out-isotopy-back pattern: straight lines from the base configuration z
+the out-isotopy-back pattern: a straight leg from the base configuration z
 to x on [0, 1/3], the flow orbit of x reparameterized to [1/3, 2/3], then
-straight lines from g(x) back to z on [2/3, 1].  The resulting bundle of
-strands closes up, so the braid read off from it is pure.
+a straight leg from g(x) back to z on [2/3, 1], each kept as its two ends.
+The bundle closes up, so the braid read off from it is pure.
 
 Braids are extracted by projecting all strands onto a direction and
 emitting one Artin generator per adjacent transposition of the projected
@@ -16,7 +16,8 @@ direction and retry.
 
 ``loop_winding`` gives the turns of one pair x_i - x_j around the loop,
 the linking number lk[i,j] of its braid, exactly and without samples: the
-lines are straight and a radial orbit turns each point at a constant rate.
+legs are straight and a radial orbit turns each point at a constant rate.
+Where it is undefined, for some pair, the loop has no braid.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .flows import FlowSpec, check_rotation, flow_path
 __all__ = [
     "TrajectoryBundle",
     "closest_pair",
+    "coincidence_free",
     "gg_loop",
     "loop_samples",
     "loop_winding",
@@ -98,18 +100,18 @@ def closest_pair(points) -> tuple[float, int, int]:
 
 
 def loop_samples(flow: FlowSpec, n: int, samples_per_segment: int | None = None) -> int:
-    """Subintervals per third of an n-strand ``gg_loop``, by default scaled to
-    the flow's angular speed bound so relative windings stay resolved.
+    """Subintervals m of the flow orbit in an n-strand ``gg_loop``, by default
+    scaled to the flow's angular speed bound so relative windings stay resolved.
 
     InputError, before any sampling, for a flow turning faster than
-    ``flows.MAX_ROTATION`` or a loop of over MAX_LOOP_POSITIONS positions.
+    ``flows.MAX_ROTATION`` or a loop of n * (m + 3) > MAX_LOOP_POSITIONS positions.
     """
     bound = check_rotation(flow)
     m = max(32, math.ceil(8.0 * bound)) if samples_per_segment is None else int(samples_per_segment)
     if m < 2:
-        raise InputError("need at least 2 samples per segment")
-    if n * (3 * m + 1) > MAX_LOOP_POSITIONS:
-        raise InputError(f"{n} strands of {m} samples per third exceed {MAX_LOOP_POSITIONS} positions")
+        raise InputError("need at least 2 orbit subintervals")
+    if n * (m + 3) > MAX_LOOP_POSITIONS:
+        raise InputError(f"{n} strands of {m} orbit subintervals exceed {MAX_LOOP_POSITIONS} positions")
     return m
 
 
@@ -119,10 +121,11 @@ def gg_loop(
     flow: FlowSpec,
     samples_per_segment: int | None = None,
 ) -> TrajectoryBundle:
-    """Sample the loop: lines out from ``base``, flow orbit, lines back.
+    """The loop z, the flow orbit from x to g(x) at m + 1 samples s, z again.
 
-    ``samples_per_segment`` counts the subintervals per third, as checked
-    and defaulted by ``loop_samples``.
+    Positions are (n, m + 3, 2) at times 0, 1/3 + s/3, 1, with m as checked
+    and defaulted by ``loop_samples``.  Pairs passing through each other are
+    not screened here (``coincidence_free`` does that).
     """
     z = np.asarray(base, dtype=float)
     x = np.asarray(start, dtype=float)
@@ -135,13 +138,9 @@ def gg_loop(
     m = loop_samples(flow, len(z), samples_per_segment)
 
     s = np.linspace(0.0, 1.0, m + 1)
-    seg1 = z[:, None, :] + (x - z)[:, None, :] * s[None, :, None]
     orbit = flow_path(flow, x, s)  # (n, m+1, 2)
-    gx = orbit[:, -1, :]
-    seg3 = gx[:, None, :] + (z - gx)[:, None, :] * s[None, :, None]
-
-    positions = np.concatenate((seg1, orbit[:, 1:, :], seg3[:, 1:, :]), axis=1)
-    times = np.concatenate((s / 3.0, 1.0 / 3.0 + s[1:] / 3.0, 2.0 / 3.0 + s[1:] / 3.0))
+    positions = np.concatenate((z[:, None, :], orbit, z[:, None, :]), axis=1)
+    times = np.concatenate(([0.0], 1.0 / 3.0 + s / 3.0, [1.0]))
     return TrajectoryBundle(times, positions)
 
 
@@ -156,8 +155,8 @@ def _segment_distance(a, b):
 def loop_winding(flow: FlowSpec, base, configs, i: int, j: int) -> np.ndarray:
     """Exact turns of x_i - x_j around the ``gg_loop`` of each configuration.
 
-    ``configs`` is (count, n, 2) and i, j are 0-based strands.  Each line
-    segment turns the pair by the principal angle between its ends.  On the
+    ``configs`` is (count, n, 2) and i, j are 0-based strands.  Each leg
+    turns the pair by the principal angle between its ends.  On the
     orbit x_i - x_j = ±x_out (1 - rho e^{i psi(s)}), with rho = r_in / r_out
     and psi the inner minus the outer point's angle, so it turns by the
     outer point's rate plus the change of the principal Arg(1 - rho e^{i psi}).
@@ -199,6 +198,17 @@ def loop_winding(flow: FlowSpec, base, configs, i: int, j: int) -> np.ndarray:
     return np.where(near < COINCIDENCE_THRESHOLD, np.nan, total / (2.0 * math.pi))
 
 
+def coincidence_free(flow: FlowSpec, base, configs) -> np.ndarray:
+    """Mask of the (count, n, 2) configurations whose every pair stays
+    COINCIDENCE_THRESHOLD apart along its ``gg_loop``: ``loop_winding`` is
+    defined for every pair."""
+    n = np.shape(configs)[1]
+    keep = np.ones(len(configs), dtype=bool)
+    for i, j in zip(*np.triu_indices(n, 1)):
+        keep &= ~np.isnan(loop_winding(flow, base, configs, i, j))
+    return keep
+
+
 def perturb_direction(direction, attempt: int):
     """Deterministic direction sequence: attempt 0 is the input, later
     attempts rotate by multiples of an irrational fraction of the turn."""
@@ -224,7 +234,7 @@ def extract_braid(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidWord:
     """
     dx, dy = perturb_direction(direction, 0)
     pos = bundle.positions
-    n, T = pos.shape[0], pos.shape[1]
+    n = pos.shape[0]
     if closest_pair(pos)[0] < COINCIDENCE_THRESHOLD:
         raise DegenerateConfigurationError("strands pass within coincidence threshold")
 
@@ -322,16 +332,12 @@ def initial_order(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> tuple[int, 
     return tuple(int(i) for i in np.argsort(proj, kind="stable"))
 
 
-def _permutation_word(targets: list[int], n: int) -> list[int]:
-    """Positive word whose strand starting in slot p ends in slot targets[p]."""
-    # final arrangement: slot q holds the strand (start slot) with target q
-    final = [0] * n
-    for start, target in enumerate(targets):
-        final[target] = start
-    current = list(range(n))
+def _permutation_word(final) -> list[int]:
+    """Positive word that brings the strand starting in slot final[q] to slot q."""
+    current = list(range(len(final)))
     letters = []
-    for q in range(n):
-        p = current.index(final[q])
+    for q, strand in enumerate(final):
+        p = current.index(strand)
         while p > q:
             letters.append(p)  # 1-based generator index p swaps slots p-1, p
             current[p - 1], current[p] = current[p], current[p - 1]
@@ -357,10 +363,7 @@ def loop_braid(
         return word
     # strand with bundle index i must start in the slot where the
     # projected order placed it
-    rank = [0] * bundle.strands
-    for slot, strand in enumerate(order):
-        rank[strand] = slot
-    u = BraidWord(bundle.strands, tuple(_permutation_word(rank, bundle.strands)))
+    u = BraidWord(bundle.strands, tuple(_permutation_word(order)))
     return BraidWord(bundle.strands, u.letters + word.letters + u.inverse().letters)
 
 

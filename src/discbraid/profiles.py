@@ -56,7 +56,8 @@ class RadialProfile:
         if any(b1 <= b0 for b0, b1 in zip(bps, bps[1:])):
             raise InputError("breakpoints must be strictly increasing")
         d_pieces = pieces
-        for order in range(self.smoothness_class + 1):
+        # past the highest degree every derivative vanishes, so a huge class ends early
+        for order in range(min(self.smoothness_class, max(map(len, pieces))) + 1):
             for k in range(len(d_pieces) - 1):
                 knot = bps[k + 1]
                 left = evaluate(d_pieces[k], knot)
@@ -119,7 +120,10 @@ class RadialProfile:
     # -- compiled float views ---------------------------------------------
 
     @cached_property
-    def _float_compiled(self):
+    def float_pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """(breaks, coeffs): the breakpoints as floats, and row k holding the
+        float coefficients of piece k, lowest degree first, zero-padded to a
+        common degree.  Built once per profile for float evaluation."""
         breaks = np.array([float(b) for b in self.breakpoints])
         deg = max(len(p) for p in self.pieces)
         coeffs = np.zeros((len(self.pieces), deg))
@@ -129,7 +133,7 @@ class RadialProfile:
 
     def eval_float(self, y):
         """Vectorized float evaluation of h on arrays of y in [0, 1]."""
-        breaks, coeffs = self._float_compiled
+        breaks, coeffs = self.float_pieces
         y = np.asarray(y, dtype=float)
         idx = np.clip(np.searchsorted(breaks, y, side="right") - 1, 0, len(self.pieces) - 1)
         acc = np.zeros_like(y)
@@ -247,6 +251,6 @@ def profile_from_json(text: str) -> RadialProfile:
             tuple(Fraction(n, d) for n, d in piece) for piece in doc["pieces"]
         )
         smoothness = int(doc.get("smoothness_class", 1))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise InputError(f"malformed profile document: {exc}") from exc
     return RadialProfile(breakpoints, pieces, smoothness)

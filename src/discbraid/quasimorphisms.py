@@ -86,9 +86,9 @@ def homogenize(
         ks.append(ks[-1] * 2)
 
     values: list[tuple[int, Fraction]] = []
-    for k in ks:
-        word_k = free_reduce(power(a, k))
-        if values and len(word_k) > length_cap:
+    word_k = free_reduce(a)
+    for k in ks:  # a^k from the reduced a^(k/2), so a freely trivial word never grows
+        if values and len(word_k := free_reduce(power(word_k, 2))) > length_cap:
             break
         values.append((k, Fraction(phi(word_k))))
     if len(values) >= 2:

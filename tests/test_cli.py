@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from discbraid.cli import main
+from discbraid.estimator import default_base
 from discbraid.flows import flow_to_json, make_flow
 from discbraid.profiles import (
     polynomial_bump,
@@ -136,6 +137,15 @@ class TestBraidExtract:
         word_lines2 = [l for l in out2.splitlines() if not l.startswith("#")]
         assert word_lines1 == word_lines2
         assert word_lines1[0] == "2"
+
+    @pytest.mark.parametrize("samples", [[], ["--samples-per-segment", "33"]], ids=["default", "33"])
+    def test_strands_passing_through_each_other_rejected(self, capsys, bump_flow_file, samples):
+        # the swapped default base sends the pair's legs through each other;
+        # the loop has no braid, whatever the sample count reads off it
+        start = ";".join(f"{float(x)!r},{float(y)!r}" for x, y in default_base(2)[::-1])
+        code, out, err = run_cli(capsys, "braid-extract", "--flow", bump_flow_file, f"--start={start}", *samples)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "InputError"
 
     @pytest.mark.parametrize("command", ["braid-extract", "lp-length"])
     @pytest.mark.parametrize("row", ["0.0,-1,-0.5,0", "0.0,5,-0.5,0", "0.5,1,-0.5,0", "0.0,1,nan,0"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import discbraid.estimator as est_mod
+import discbraid.loops as loops_mod
 from discbraid.braids import linking_number
 from discbraid.errors import DegeneracyError, InputError
 from discbraid.estimator import (
@@ -17,7 +18,7 @@ from discbraid.estimator import (
     estimate_phi_tilde_n,
 )
 from discbraid.flows import calabi, make_flow, signature_response
-from discbraid.loops import COINCIDENCE_THRESHOLD, loop_winding
+from discbraid.loops import COINCIDENCE_THRESHOLD, gg_loop, loop_braid, loop_winding
 from discbraid.profiles import make_hs_profile, polynomial_bump, rotation_profile
 from discbraid.quasimorphisms import linking_quasimorphism, signature_quasimorphism
 
@@ -117,9 +118,10 @@ class TestEstimatePhi:
             estimate_phi_n(make_flow([]), LK, 2, samples=0)
 
     def test_rejection_counting_and_degeneracy(self, monkeypatch):
-        monkeypatch.setattr(est_mod, "MIN_SEPARATION", 2.5)  # every pair too close
-        with pytest.raises(DegeneracyError):
-            estimate_phi_n(bump_flow(), LK, 2, samples=40, seed=0)
+        monkeypatch.setattr(loops_mod, "COINCIDENCE_THRESHOLD", 2.5)  # every pair too close
+        for phi in (LK, signature_quasimorphism()):
+            with pytest.raises(DegeneracyError):
+                estimate_phi_n(bump_flow(), phi, 2, samples=40, seed=0)
 
     def test_strand_checks_before_sampling(self, monkeypatch):
         def no_sampling(*args):
@@ -151,14 +153,12 @@ class TestLoopWinding:
         # every ordered pair of 700 configurations: 16 800 cases over the six runs
         base = default_base(n)
         configs = est_mod.sample_configs(chunk_rng(31, est_mod.TASK_PHI, n), 700, n)
-        loops = [est_mod.config_loop(flow, base, c) for c in configs]
+        words = [loop_braid(gg_loop(base, c, flow)) for c in configs]
         for i, j in itertools.permutations(range(n), 2):
             turns = loop_winding(flow, base, configs, i, j)
-            got = [None if math.isnan(t) else int(np.rint(t)) for t in turns]
-            want = [None if lp is None else linking_number(lp[1], i + 1, j + 1) for lp in loops]
-            assert got == want
-            assert np.nanmax(np.abs(turns - np.rint(turns))) < 1e-12
-        assert all(lp is not None for lp in loops)  # no case passes as a double rejection
+            assert not np.isnan(turns).any()  # no case passes as a double rejection
+            assert np.rint(turns).astype(int).tolist() == [linking_number(w, i + 1, j + 1) for w in words]
+            assert np.max(np.abs(turns - np.rint(turns))) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_full_rotation_links_every_pair_once(self, n):
@@ -187,6 +187,28 @@ class TestLoopWinding:
             est = estimate_phi_n(bump_flow(), phi, 2, samples=2)
             assert (est.samples, est.rejected) == (1, 1)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_config_loops_drops_exactly_the_undefined_windings(self, monkeypatch, n):
+        flow, base = bump_flow(), default_base(n)
+        configs = est_mod.sample_configs(chunk_rng(5, est_mod.TASK_PHI, n), 200, n)
+        configs[::7, :2] = base[1::-1]  # swap two base points: their legs pass through each other
+        undefined = np.zeros(len(configs), dtype=bool)
+        for i, j in itertools.combinations(range(n), 2):
+            undefined |= np.isnan(loop_winding(flow, base, configs, i, j))
+        assert undefined[::7].all() and undefined.sum() < len(configs) // 2
+        # gg_loop and loop_braid are module globals of the estimator, where tracers wrap them
+        seen = []
+        monkeypatch.setattr(est_mod, "gg_loop", lambda *args: seen.append(args[1]) or gg_loop(*args))
+        words = [word for _bundle, word in est_mod.config_loops(flow, base, configs)]
+        assert np.array_equal(np.array(seen), configs[~undefined])
+        assert len(words) == len(seen)  # no extraction stayed degenerate here
+
+    @pytest.mark.parametrize("base", [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0]], [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]]])
+    def test_config_loops_checks_the_base(self, base):
+        configs = est_mod.sample_configs(chunk_rng(5, est_mod.TASK_PHI, 0), 4, 2)
+        with pytest.raises(InputError):
+            list(est_mod.config_loops(bump_flow(), base, configs))
+
     @pytest.mark.parametrize("gap", [4e-10, 4e-9])
     def test_orbit_approach_rejected_below_threshold(self, gap):
         # radii gap apart, angles set so the pair passes at distance gap mid-orbit
@@ -195,7 +217,7 @@ class TestLoopWinding:
         wi, wj = flow.angular_rate_float(np.array([ri * ri, rj * rj]))
         ti, tj = 1.0, 1.0 + (wi - wj) / 2
         config = np.array([[ri * math.cos(ti), ri * math.sin(ti)], [rj * math.cos(tj), rj * math.sin(tj)]])
-        assert math.hypot(*(config[0] - config[1])) > est_mod.MIN_SEPARATION
+        assert math.hypot(*(config[0] - config[1])) > 1e-6
         turns = loop_winding(flow, default_base(2), config[None], 0, 1)[0]
         assert math.isnan(turns) == (gap < COINCIDENCE_THRESHOLD)
 

@@ -70,6 +70,12 @@ class TestCrossingBound:
         with pytest.raises(InputError):
             check_crossing_bound(make_flow([]), 3, trials=0)
 
+    @pytest.mark.parametrize("base", [[[0.5, 0.0], [0.5, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 0.5]]])
+    def test_bad_base_is_input_error(self, base):
+        # a coincident base would otherwise reject every trial and report a NaN margin
+        with pytest.raises(InputError):
+            check_crossing_bound(make_flow([(bump(2, 6, 40), 1)]), 3, base=base, trials=5)
+
 
 class TestWordLengthBound:
     def test_linking_on_two_strands(self):
@@ -91,6 +97,10 @@ class TestWordLengthBound:
             linking_quasimorphism(), [Fraction(1)], [], defect=Fraction(0)
         )
         assert not rep.passed
+
+    def test_empty_corpus_without_defect_is_input_error(self):
+        with pytest.raises(InputError, match="corpus"):
+            check_word_length_bound(signature_quasimorphism(), [Fraction(1)], [])
 
 
 class TestSignatureMatrix:
@@ -260,11 +270,37 @@ class TestLinearFit:
         assert r2 == pytest.approx(1 - float(resid @ resid) / float(yc @ yc))
 
 
+def strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestReport:
     def test_json_roundtrip(self):
         rep = Report("demo", True, 1.25, {"extra": [1, 2]}, seed=9)
         doc = json.loads(rep.to_json())
         assert doc["check"] == "demo" and doc["passed"] and doc["seed"] == 9
+
+    FAILED_HYPOTHESES = {
+        "singular": lambda: check_bilipschitz_disc([THREE_PROFILES[0]] * 2, [[1, 1]]),
+        "empty-corpus": lambda: check_word_length_bound(linking_quasimorphism(), [Fraction(1)], []),
+    }
+
+    @pytest.mark.parametrize("name", list(FAILED_HYPOTHESES))
+    def test_failed_hypothesis_margin_is_null(self, name):
+        rep = self.FAILED_HYPOTHESES[name]()
+        assert not rep.passed and math.isnan(rep.margin)
+        assert strict_json(rep.to_json())["margin"] is None
+
+    def test_verify_report_is_strict_json(self, monkeypatch, tmp_path, capsys):
+        rep = self.FAILED_HYPOTHESES["singular"]()
+        monkeypatch.setattr(cli, "battery", lambda *args, **kwargs: [("singular", "singular", lambda: rep)])
+        path = tmp_path / "report.json"
+        assert cli.main(["verify", "--all", "--report", str(path)]) == 1
+        assert "FAIL bilipschitz_disc margin=nan" in capsys.readouterr().out
+        assert strict_json(path.read_text())[0]["margin"] is None
 
 
 class TestBattery:

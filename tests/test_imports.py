@@ -1,4 +1,5 @@
-"""No module of the package or its scripts imports another module's private names."""
+"""No module of the package or its scripts imports another module's private
+names, or reads a private attribute of anything but ``self`` or ``cls``."""
 
 import ast
 from pathlib import Path
@@ -23,6 +24,26 @@ def private_imports(path: Path) -> list[str]:
     return found
 
 
+def private_attribute_reads(path: Path) -> list[str]:
+    """`x._name` reads in one file, where x is not `self` or `cls`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+            continue
+        if not node.attr.startswith("_") or node.attr.startswith("__"):
+            continue
+        if isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"):
+            continue
+        found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_private_attribute_reads_are_found(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("class A:\n    def f(self, other):\n        return self._x, other._x, other.__class__\n")
+    assert private_attribute_reads(probe) == ["line 3: other._x"]
+
+
 def test_sources_found():
     assert len(SOURCES) > 10
 
@@ -30,3 +51,8 @@ def test_sources_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_private_imports_across_modules(path):
     assert private_imports(path) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_private_attribute_reads_across_objects(path):
+    assert private_attribute_reads(path) == []

@@ -11,9 +11,10 @@ from discbraid.braids import (
     representative_length,
 )
 from discbraid.errors import DegenerateConfigurationError, InputError
-from discbraid.flows import make_flow
+from discbraid.flows import flow_path, make_flow
 from discbraid.loops import (
     TrajectoryBundle,
+    coincidence_free,
     extract_braid,
     extract_braid_auto,
     gg_loop,
@@ -69,12 +70,11 @@ class TestBundle:
         x = np.array([[0.1, 0.2], [-0.3, 0.1]])
         m = 8
         bundle = gg_loop(z, x, make_flow([]), m)
-        # identity flow: middle third is constant at x
-        mid = bundle.positions[:, m : 2 * m + 1, :]
-        assert np.allclose(mid, x[:, None, :])
-        # first third is the straight line from z to x
-        assert np.allclose(bundle.positions[:, 0, :], z)
-        assert np.allclose(bundle.positions[:, m, :], x)
+        # z, the m + 1 orbit samples (constant at x for the identity flow), z
+        assert bundle.positions.shape == (2, m + 3, 2)
+        assert np.array_equal(bundle.positions[:, 0], z) and np.array_equal(bundle.positions[:, -1], z)
+        assert np.allclose(bundle.positions[:, 1 : m + 2], x[:, None])
+        assert np.allclose(bundle.times, np.concatenate(([0.0], np.linspace(1, 2, m + 1) / 3, [1.0])))
 
     def test_coincident_inputs_rejected(self):
         z = polygon(2)
@@ -82,7 +82,7 @@ class TestBundle:
             gg_loop(np.array([[0.1, 0.1], [0.1, 0.1]]), z, make_flow([]), 8)
 
     def test_loop_size_bound(self):
-        most = (MAX_LOOP_POSITIONS // 2 - 1) // 3  # 2 strands of 3m+1 positions each
+        most = MAX_LOOP_POSITIONS // 2 - 3  # 2 strands of m + 3 positions each
         assert loop_samples(make_flow([]), 2, most) == most
         with pytest.raises(InputError, match="positions"):
             loop_samples(make_flow([]), 2, most + 1)
@@ -97,6 +97,44 @@ class TestBundle:
         monkeypatch.setattr(np, "linspace", no_allocation)
         with pytest.raises(InputError, match="positions"):
             gg_loop(polygon(2), polygon(2, 0.3), make_flow([]), 10**9)
+
+
+def legs_sampled(base, start, flow, m):
+    """The loop with each straight leg sampled at m + 1 points, as a reference."""
+    s = np.linspace(0.0, 1.0, m + 1)
+    orbit = flow_path(flow, start, s)
+    out = base[:, None] + (start - base)[:, None] * s[None, :, None]
+    back = orbit[:, -1:] + (base - orbit[:, -1])[:, None] * s[None, :, None]
+    positions = np.concatenate((out, orbit[:, 1:], back[:, 1:]), axis=1)
+    return TrajectoryBundle(np.concatenate((s, 1 + s[1:], 2 + s[1:])) / 3, positions)
+
+
+class TestLegEnds:
+    FLOWS = {
+        "bump": bump_flow(),
+        "two-term-negative": make_flow(
+            [
+                (polynomial_bump(Fraction(1, 8), Fraction(1, 2), 60), Fraction(-3, 2)),
+                (polynomial_bump(Fraction(3, 8), Fraction(7, 8), 48), 2),
+            ]
+        ),
+        "rotation": full_rotation_flow(1.3),
+    }
+
+    @pytest.mark.parametrize("name", list(FLOWS))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_words_match_sampled_legs(self, name, n):
+        flow = self.FLOWS[name]
+        rng = np.random.default_rng(100 * n + len(name))
+        z = polygon(n)
+        configs = np.array([random_config(rng, n) for _ in range(40)])
+        configs = configs[coincidence_free(flow, z, configs)]
+        assert len(configs) >= 35
+        m = loop_samples(flow, n)
+        for x in configs:
+            bundle = gg_loop(z, x, flow)
+            assert bundle.positions.shape == (n, m + 3, 2)
+            assert loop_braid(bundle).letters == loop_braid(legs_sampled(z, x, flow, m)).letters
 
 
 class TestExtraction:
