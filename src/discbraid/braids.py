@@ -3,11 +3,12 @@
 A word is a sequence of signed generator indices: the letter ``+i`` is the
 elementary crossing of the strands in slots ``i`` and ``i+1`` (1-based,
 ``1 <= i <= n-1``) and ``-i`` is its inverse.  Words are kept verbatim; the
-only normalization ever applied is free reduction (cancelling adjacent
+only normalizations ever applied are free reduction (cancelling adjacent
 ``+i, -i`` pairs), which gives a cheap upper bound on the geodesic word
-length.  Group-element equality is deliberately out of scope — invariants
-(permutation, linking numbers, closure signature) are what the rest of the
-package consumes.
+length, and cyclic reduction, which also cancels a first letter against
+the last (a conjugation, so the closure is unchanged).  Group-element
+equality is deliberately out of scope — invariants (permutation, linking
+numbers, closure signature) are what the rest of the package consumes.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "concat",
     "power",
     "free_reduce",
+    "cyclic_reduce",
     "representative_length",
     "word_permutation",
     "is_pure",
@@ -111,6 +113,16 @@ def free_reduce(a: BraidWord) -> BraidWord:
         else:
             stack.append(letter)
     return BraidWord(a.strands, tuple(stack))
+
+
+def cyclic_reduce(a: BraidWord) -> BraidWord:
+    """Free reduction, then the end pairs (l, -l) stripped: a conjugate of
+    ``a`` with the same closure, freely and cyclically reduced."""
+    letters = free_reduce(a).letters
+    lo, hi = 0, len(letters)
+    while hi - lo >= 2 and letters[lo] == -letters[hi - 1]:
+        lo, hi = lo + 1, hi - 1
+    return BraidWord(a.strands, letters[lo:hi])
 
 
 def representative_length(a: BraidWord) -> int:

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import partial
@@ -379,9 +380,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+POINT_FLAGS = ("--point", "--start", "--base", "--direction")
+
+
+def _join_point_values(argv):
+    """``--start -0.4,0.2`` as ``--start=-0.4,0.2``: argparse reads a separate
+    value that starts with '-' (and is not a plain number) as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in POINT_FLAGS and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_point_values(sys.argv[1:] if argv is None else argv))
     if args.seed < 0:  # seeds key numpy's SeedSequence, which takes no negative entropy
         parser.error(f"--seed must be a non-negative integer, got {args.seed}")
     try:

@@ -8,7 +8,10 @@ the sample mean scaled by pi^n.
 A linking number lk[i,j], at any n and for any pair, is the number of
 turns of x_i - x_j around the loop, which ``loops.loop_winding`` gives in
 closed form for a whole chunk, in the calling process.  The signature goes
-through braid extraction, one configuration at a time, and it alone uses
+through braid extraction: ``config_loops`` builds a chunk's loops in
+batches (``loops.gg_loops``) and extracts each loop's braid, and the
+signature is evaluated once per cyclically reduced word of the chunk (it is
+a class function: conjugation leaves the closure unchanged).  It alone uses
 worker processes.  Both reject a pair (lk: the linked one) whose
 ``loop_winding`` is undefined: it passes through the other along the loop.
 
@@ -28,15 +31,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .braids import BraidWord, cyclic_reduce
 from .errors import DegeneracyError, InputError
 from .flows import FlowSpec, check_rotation
 from .loops import (
     COINCIDENCE_THRESHOLD,
     MAX_LOOP_POSITIONS,
     DegenerateConfigurationError,
+    TrajectoryBundle,
     closest_pair,
     coincidence_free,
-    gg_loop,
+    gg_loops,
     loop_braid,
     loop_samples,
     loop_winding,
@@ -56,6 +61,7 @@ __all__ = [
 
 CHUNK_SAMPLES = 512
 MAX_SAMPLES = 2**30  # the chunk list and its partial results stay in memory
+LOOP_BATCH_POSITIONS = 2**14  # most positions one config_loops batch holds: 256 KiB per array
 
 TASK_PHI = 1
 TASK_DEFECT = 2
@@ -117,15 +123,24 @@ def _checked_base(base, n: int) -> np.ndarray:
 def config_loops(flow: FlowSpec, base, configs: np.ndarray):
     """(loop bundle, loop braid) of each (count, n, 2) configuration that is
     ``coincidence_free`` and whose extraction is not degenerate; the base
-    (None for ``default_base``) is checked once."""
-    base = _checked_base(base, configs.shape[1])
-    for config in configs[coincidence_free(flow, base, configs)]:
-        bundle = gg_loop(base, config, flow)
-        try:
-            word = loop_braid(bundle)
-        except DegenerateConfigurationError:
-            continue
-        yield bundle, word
+    (None for ``default_base``) is checked once.
+
+    The loops are built by ``gg_loops`` in batches of at most
+    LOOP_BATCH_POSITIONS positions, and each bundle is a view of its batch.
+    """
+    n = configs.shape[1]
+    base = _checked_base(base, n)
+    kept = configs[coincidence_free(flow, base, configs)]
+    batch = max(1, LOOP_BATCH_POSITIONS // (n * (loop_samples(flow, n) + 3)))
+    for first in range(0, len(kept), batch):
+        times, positions = gg_loops(base, kept[first : first + batch], flow)
+        for loop in positions:
+            bundle = TrajectoryBundle(times, loop)
+            try:
+                word = loop_braid(bundle)
+            except DegenerateConfigurationError:
+                continue
+            yield bundle, word
 
 
 def _linking_pair(phi: QuasimorphismSpec, n: int):
@@ -160,7 +175,14 @@ def _phi_chunk(
     configs = sample_configs(rng, count, n)
     pair = _linking_pair(phi, n)
     if pair is None:
-        values = [float(phi(word)) for _bundle, word in config_loops(flow, base, configs)]
+        # phi is a class function, so it is evaluated once per cyclic word of the chunk
+        memo: dict[BraidWord, float] = {}
+        values = []
+        for _bundle, word in config_loops(flow, base, configs):
+            word = cyclic_reduce(word)
+            if word not in memo:
+                memo[word] = float(phi(word))
+            values.append(memo[word])
     else:
         turns = loop_winding(flow, base, configs, *pair)
         values = np.rint(turns[~np.isnan(turns)]).tolist()

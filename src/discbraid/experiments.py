@@ -500,6 +500,10 @@ def calabi_profiles() -> list[RadialProfile]:
     ]
 
 
+# Most crossing-bound trials a battery takes; one bi-Lipschitz vector per five.
+MAX_TRIALS = 2**20
+
+
 def battery(
     scale: str = "desk",
     seed: int = 0,
@@ -516,10 +520,13 @@ def battery(
     and finer parameter grids).  Both scales cover the same check names.
     ``samples`` drives the Calabi check, ``lipschitz_samples`` the
     Lipschitz check, and ``trials`` the crossing-bound trials and the
-    bi-Lipschitz vector count (one vector per five trials).
+    bi-Lipschitz vector count (one vector per five trials); InputError,
+    before any vector is drawn, above MAX_TRIALS trials.
     """
     if scale not in ("desk", "acceptance"):
         raise InputError(f"unknown battery scale {scale!r}")
+    if trials > MAX_TRIALS:
+        raise InputError(f"need at most {MAX_TRIALS} trials, got {trials}")
     desk = scale == "desk"
     profiles = calabi_profiles()
     bump = partial(polynomial_bump, Fraction(1, 4), Fraction(3, 4))

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError
-from .estimator import TASK_LP_SPACE, chunk_rng, sample_configs
+from .estimator import MAX_SAMPLES, TASK_LP_SPACE, chunk_rng, sample_configs
 from .flows import FlowSpec, check_lp_exponent
 from .loops import TrajectoryBundle
 
@@ -31,6 +31,7 @@ __all__ = ["LengthEstimate", "holder_constant", "lp_length_sampled", "lp_length_
 
 RICHARDSON_RTOL = 1e-3
 MAX_REFINEMENTS = 8
+MAX_TIME_STEPS = 2**20  # the time grid and its weights stay in memory
 
 
 @dataclass(frozen=True)
@@ -60,27 +61,31 @@ def as_isotopy(obj) -> Callable[[float, np.ndarray], np.ndarray]:
 
     A radial flow turns each point by t times an angular rate that depends
     only on |x|^2, so the rate is computed once per point cloud: the closure
-    keeps a private copy of the last points with their rates and reuses the
-    rates while the points compare equal (by value, so a caller that mutates
-    its array in place gets fresh rates).  The result is bitwise the same as
-    recomputing on every call.
+    keeps a private copy of the last points, the indices of those the flow
+    moves (rate != 0) and their coordinates and rates, and reuses them while
+    the points compare equal (by value, so a caller that mutates its array
+    in place gets fresh rates).  Each call copies the points and rotates
+    only the moving ones.  The result is bitwise the same as recomputing on
+    every call: a point at rate 0 turns by cos 0 = 1 and sin 0 = 0.
     """
     if isinstance(obj, FlowSpec):
-        memo = (np.empty((0, 2)), np.empty(0))  # (points, their rates)
+        memo = None  # (points, moving indices, their x, y and rates)
 
         def apply(t: float, pts: np.ndarray) -> np.ndarray:
             nonlocal memo
             pts = np.asarray(pts, dtype=float)
-            seen, rate = memo
-            if not np.array_equal(pts, seen):
+            if memo is None or not np.array_equal(pts, memo[0]):
                 r2 = np.clip(np.sum(pts**2, axis=1), 0.0, 1.0)
                 rate = obj.angular_rate_float(r2)
-                memo = (pts.copy(), rate)
+                moving = np.nonzero(rate)[0]
+                memo = (pts.copy(), moving, pts[moving, 0], pts[moving, 1], rate[moving])
+            _, moving, x, y, rate = memo
             dtheta = t * rate
             c, s = np.cos(dtheta), np.sin(dtheta)
-            return np.stack(
-                (c * pts[:, 0] - s * pts[:, 1], s * pts[:, 0] + c * pts[:, 1]), axis=1
-            )
+            out = pts.copy()
+            out[moving, 0] = c * x - s * y
+            out[moving, 1] = s * x + c * y
+            return out
 
         return apply
     if callable(obj):
@@ -104,8 +109,10 @@ def lp_length_sampled(
     errors as fully correlated.
     """
     check_lp_exponent(p)
-    if time_steps < 2 or space_samples < 1:
-        raise InputError("need time_steps >= 2 and space_samples >= 1")
+    if not 2 <= time_steps <= MAX_TIME_STEPS:
+        raise InputError(f"need 2 to {MAX_TIME_STEPS} time steps, got {time_steps}")
+    if not 1 <= space_samples <= MAX_SAMPLES:
+        raise InputError(f"need 1 to {MAX_SAMPLES} space samples, got {space_samples}")
     apply = as_isotopy(isotopy)
     cloud = sample_configs(chunk_rng(seed, TASK_LP_SPACE, 0), space_samples, 1)[:, 0]
 

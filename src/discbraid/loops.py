@@ -4,7 +4,9 @@ The loop construction for a flow g and an n-point configuration x follows
 the out-isotopy-back pattern: a straight leg from the base configuration z
 to x on [0, 1/3], the flow orbit of x reparameterized to [1/3, 2/3], then
 a straight leg from g(x) back to z on [2/3, 1], each kept as its two ends.
-The bundle closes up, so the braid read off from it is pure.
+The bundle closes up, so the braid read off from it is pure.  ``gg_loops``
+builds the loops of a batch of configurations with one ``flow_path`` call;
+``gg_loop`` is its one-configuration case.
 
 Braids are extracted by projecting all strands onto a direction and
 emitting one Artin generator per adjacent transposition of the projected
@@ -37,6 +39,7 @@ __all__ = [
     "closest_pair",
     "coincidence_free",
     "gg_loop",
+    "gg_loops",
     "loop_samples",
     "loop_winding",
     "extract_braid",
@@ -115,16 +118,42 @@ def loop_samples(flow: FlowSpec, n: int, samples_per_segment: int | None = None)
     return m
 
 
+def gg_loops(base, starts, flow: FlowSpec, samples_per_segment: int | None = None):
+    """Times (m + 3,) and positions (count, n, m + 3, 2) of the loops of a
+    batch of (count, n, 2) start configurations x around the base z.
+
+    Each loop is z, the flow orbit from x to g(x) at m + 1 samples s, z
+    again, at times 0, 1/3 + s/3, 1, with m as checked and defaulted by
+    ``loop_samples``.  One ``flow_path`` call moves every point of the
+    batch; it is elementwise in its points, so each loop is bitwise the one
+    a batch of one gives.  Nothing is screened here: ``gg_loop`` checks one
+    configuration and ``coincidence_free`` screens a batch.
+    """
+    z = np.asarray(base, dtype=float)
+    x = np.asarray(starts, dtype=float)
+    if z.ndim != 2 or z.shape[1] != 2 or x.ndim != 3 or x.shape[1:] != z.shape:
+        raise InputError("base must be (n, 2) and starts (count, n, 2)")
+    count, n = x.shape[:2]
+    m = loop_samples(flow, n, samples_per_segment)
+
+    s = np.linspace(0.0, 1.0, m + 1)
+    positions = np.empty((count, n, m + 3, 2))
+    positions[:, :, 0] = positions[:, :, -1] = z
+    positions[:, :, 1:-1] = flow_path(flow, x.reshape(-1, 2), s).reshape(count, n, m + 1, 2)
+    times = np.concatenate(([0.0], 1.0 / 3.0 + s / 3.0, [1.0]))
+    return times, positions
+
+
 def gg_loop(
     base,
     start,
     flow: FlowSpec,
     samples_per_segment: int | None = None,
 ) -> TrajectoryBundle:
-    """The loop z, the flow orbit from x to g(x) at m + 1 samples s, z again.
+    """The ``gg_loops`` loop of one (n, 2) start configuration, as a bundle.
 
-    Positions are (n, m + 3, 2) at times 0, 1/3 + s/3, 1, with m as checked
-    and defaulted by ``loop_samples``.  Pairs passing through each other are
+    InputError for a base and start of different shapes, or either with a
+    coincident pair; pairs passing through each other along the loop are
     not screened here (``coincidence_free`` does that).
     """
     z = np.asarray(base, dtype=float)
@@ -135,13 +164,8 @@ def gg_loop(
         d, i, j = closest_pair(points)
         if d < COINCIDENCE_THRESHOLD:
             raise InputError(f"{label} points {i} and {j} coincide")
-    m = loop_samples(flow, len(z), samples_per_segment)
-
-    s = np.linspace(0.0, 1.0, m + 1)
-    orbit = flow_path(flow, x, s)  # (n, m+1, 2)
-    positions = np.concatenate((z[:, None, :], orbit, z[:, None, :]), axis=1)
-    times = np.concatenate(([0.0], 1.0 / 3.0 + s / 3.0, [1.0]))
-    return TrajectoryBundle(times, positions)
+    times, positions = gg_loops(z, x[None], flow, samples_per_segment)
+    return TrajectoryBundle(times, positions[0])
 
 
 def _segment_distance(a, b):
@@ -252,11 +276,12 @@ def extract_braid(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidWord:
         )
 
     changed = np.nonzero(np.any(order[:, 1:] != order[:, :-1], axis=0))[0]
+    # the walk reads plain floats, per sample column: the same IEEE arithmetic, faster
+    proj_cols, perp_cols, order_cols = proj.T.tolist(), perp.T.tolist(), order.T.tolist()
     letters: list[int] = []
-    slots = list(order[:, 0])
-    for k in changed:
-        s0 = proj[:, k]
-        s1 = proj[:, k + 1]
+    slots = list(order_cols[0])
+    for k in changed.tolist():
+        s0, s1 = proj_cols[k], proj_cols[k + 1]
         events = []
         for pa in range(n):
             for pb in range(pa + 1, n):
@@ -276,6 +301,7 @@ def extract_braid(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidWord:
                 raise DegenerateConfigurationError(
                     "simultaneous crossings", time=float(bundle.times[k])
                 )
+        p0, p1 = perp_cols[k], perp_cols[k + 1]
         for tau, a, b in events:
             pa, pb = slots.index(a), slots.index(b)
             if abs(pa - pb) != 1:
@@ -285,8 +311,8 @@ def extract_braid(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidWord:
             left_slot = min(pa, pb)
             left, right = slots[left_slot], slots[left_slot + 1]
             rel_perp = (
-                perp[left, k] + (perp[left, k + 1] - perp[left, k]) * tau
-                - perp[right, k] - (perp[right, k + 1] - perp[right, k]) * tau
+                p0[left] + (p1[left] - p0[left]) * tau
+                - p0[right] - (p1[right] - p0[right]) * tau
             )
             if rel_perp == 0.0:
                 raise DegenerateConfigurationError(
@@ -295,7 +321,7 @@ def extract_braid(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidWord:
             sign = 1 if rel_perp < 0 else -1
             letters.append(sign * (left_slot + 1))
             slots[left_slot], slots[left_slot + 1] = slots[left_slot + 1], slots[left_slot]
-        if slots != list(order[:, k + 1]):
+        if slots != order_cols[k + 1]:
             raise DegenerateConfigurationError(
                 "crossing resolution did not reproduce the sampled order",
                 time=float(bundle.times[k]),

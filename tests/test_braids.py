@@ -6,6 +6,7 @@ from discbraid.braids import (
     Permutation,
     concat,
     format_braid_text,
+    cyclic_reduce,
     free_reduce,
     is_pure,
     linking_matrix,
@@ -80,6 +81,23 @@ class TestGroupOps:
     def test_free_reduce_idempotent(self, w):
         once = free_reduce(w)
         assert free_reduce(once) == once
+
+    def test_cyclic_reduce_examples(self):
+        assert cyclic_reduce(make_word([2, 1, 1, -2], 3)).letters == (1, 1)
+        assert cyclic_reduce(make_word([-1, 2, 1, -2, 1], 3)).letters == (1,)
+        assert cyclic_reduce(make_word([1, 2, -2, -1], 3)).letters == ()
+        assert cyclic_reduce(make_word([1, 2, 1], 3)).letters == (1, 2, 1)
+
+    @given(words)
+    def test_cyclic_reduce_is_reduced_and_conjugate(self, w):
+        reduced = cyclic_reduce(w)
+        assert free_reduce(reduced) == reduced and cyclic_reduce(reduced) == reduced
+        letters = reduced.letters
+        assert len(letters) < 2 or letters[0] != -letters[-1]
+        # w freely equals u reduced u^-1 for the stripped prefix u
+        prefix = free_reduce(w).letters[: (len(free_reduce(w)) - len(reduced)) // 2]
+        u = make_word(prefix, w.strands)
+        assert free_reduce(make_word(u.letters + letters + u.inverse().letters, w.strands)) == free_reduce(w)
 
     @given(words, st.integers(min_value=-4, max_value=4))
     def test_power_length_bound(self, w, k):

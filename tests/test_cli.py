@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +141,15 @@ class TestBraidExtract:
         word_lines2 = [l for l in out2.splitlines() if not l.startswith("#")]
         assert word_lines1 == word_lines2
         assert word_lines1[0] == "2"
+
+    def test_point_lists_starting_with_a_minus(self, capsys, bump_flow_file):
+        points = {"--start": "-0.44,-0.24;0.44,0.24", "--base": "-0.5,0.1;0.5,-0.1", "--direction": "-1,0.3"}
+        joined = [f"{flag}={value}" for flag, value in points.items()]
+        separate = [token for item in points.items() for token in item]
+        outs = [run_cli(capsys, "braid-extract", "--flow", bump_flow_file, *argv) for argv in (joined, separate)]
+        assert outs[0][0] == 0 and outs[0] == outs[1]
+        code, out, _ = run_cli(capsys, "flow-apply", "--flow", bump_flow_file, "--point", "-0.5,-0.25")
+        assert code == 0 and payload_of(out)["point"] == [-0.5, -0.25]
 
     @pytest.mark.parametrize("samples", [[], ["--samples-per-segment", "33"]], ids=["default", "33"])
     def test_strands_passing_through_each_other_rejected(self, capsys, bump_flow_file, samples):
@@ -378,6 +391,16 @@ class TestVerify:
         assert out.count("PASS") == 4
         doc = json.loads(report.read_text())
         assert len(doc) == 4 and all(entry["passed"] for entry in doc)
+
+    def test_huge_trial_count_rejected_before_any_work(self):
+        # in a subprocess, so a regression times out instead of hanging the suite
+        root = Path(__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "discbraid.cli", "verify", "--checks", "hs-family", "--trials", str(10**30)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=60,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "InputError"
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(

@@ -221,6 +221,24 @@ def test_braid_extract(tmp_path, data):
     check_run(argv)
 
 
+@FUZZ
+@given(data=st.data())
+def test_lp_length(tmp_path, data):
+    draw = data.draw
+    if draw(st.booleans()):
+        path = tmp_path / "traj.csv"
+        path.write_text(draw(trajectory_text()))
+        argv = ["lp-length", "--trajectory", str(path)]
+    else:
+        argv = ["lp-length", *draw(flow_source(tmp_path))]
+        huge = st.sampled_from([2**64, 10**30])  # rejected before any allocation
+        counts = {"time_steps": st.integers(-1, 5) | huge, "space_samples": st.integers(-1, 40) | huge}
+        argv += options(draw, mode=st.sampled_from(["analytic", "sampled", "x"]),
+                        **{flag: mostly(values.map(str)) for flag, values in counts.items()})
+    argv += options(draw, p=NUMBER, seed=SMALL_INT, format=st.sampled_from(["json", "csv"]))
+    check_run(argv)
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -232,6 +250,8 @@ def test_braid_extract(tmp_path, data):
         (["estimate", "--phi=lk", "--n=" + "9" * 401, "--samples=4", "--profile={good}"], 1),
         (["estimate", "--phi=lk", "--n=40000", "--samples=4", "--profile={good}"], 1),
         (["estimate", "--phi=lk", "--n=2", "--samples=" + "9" * 401, "--profile={good}"], 1),
+        (["lp-length", "--mode=sampled", "--space-samples=" + "9" * 30, "--profile={good}"], 1),
+        (["lp-length", "--mode=sampled", "--time-steps=" + "9" * 30, "--profile={good}"], 1),
         (["flow-apply", "--point=0.5,0", "--profile={zero}"], 1),
         # one piece smooth to every order: the check stops past its degree
         (["flow-apply", "--point=0.5,0", "--profile={smooth}", "--unchecked"], 0),
@@ -239,7 +259,8 @@ def test_braid_extract(tmp_path, data):
     ],
     ids=[
         "homogenized-trivial", "homogenized-empty", "negative-seed", "verify-seed",
-        "huge-n", "large-n", "huge-samples", "zero-denominator", "huge-smoothness-class", "infinite-smoothness-class",
+        "huge-n", "large-n", "huge-samples", "huge-space-samples", "huge-time-steps",
+        "zero-denominator", "huge-smoothness-class", "infinite-smoothness-class",
     ],
 )
 def test_found_by_fuzzing(tmp_path, argv, code):

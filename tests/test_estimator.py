@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 import discbraid.estimator as est_mod
 import discbraid.loops as loops_mod
-from discbraid.braids import linking_number
+from discbraid.braids import cyclic_reduce, linking_number
 from discbraid.errors import DegeneracyError, InputError
 from discbraid.estimator import (
     QmEstimate,
@@ -21,6 +22,7 @@ from discbraid.flows import calabi, make_flow, signature_response
 from discbraid.loops import COINCIDENCE_THRESHOLD, gg_loop, loop_braid, loop_winding
 from discbraid.profiles import make_hs_profile, polynomial_bump, rotation_profile
 from discbraid.quasimorphisms import linking_quasimorphism, signature_quasimorphism
+from discbraid.seifert import braid_signature
 
 LK = linking_quasimorphism(1, 2)
 
@@ -65,6 +67,17 @@ class TestEstimatePhi:
             for t in (1, 2)
         )
         assert a == b
+
+    def test_signature_bytes_across_threads(self):
+        # three chunks of a two-term flow with a negative time, so chunks
+        # evaluate repeated cyclic words in different worker processes
+        flow = TestLoopWinding.MULTI
+        sig = signature_quasimorphism()
+        a, b = (
+            estimate_phi_tilde_n(flow, sig, 3, samples=1100, k_schedule=(1, 2), seed=4, threads=t).to_dict()
+            for t in (1, 2)
+        )
+        assert json.dumps(a) == json.dumps(b)  # floats print as their shortest exact repr
 
     def test_unresolvable_rotation_rejected_before_sampling(self, monkeypatch):
         def no_sampling(*args):
@@ -188,7 +201,7 @@ class TestLoopWinding:
             assert (est.samples, est.rejected) == (1, 1)
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_config_loops_drops_exactly_the_undefined_windings(self, monkeypatch, n):
+    def test_config_loops_drops_exactly_the_undefined_windings(self, n):
         flow, base = bump_flow(), default_base(n)
         configs = est_mod.sample_configs(chunk_rng(5, est_mod.TASK_PHI, n), 200, n)
         configs[::7, :2] = base[1::-1]  # swap two base points: their legs pass through each other
@@ -196,12 +209,38 @@ class TestLoopWinding:
         for i, j in itertools.combinations(range(n), 2):
             undefined |= np.isnan(loop_winding(flow, base, configs, i, j))
         assert undefined[::7].all() and undefined.sum() < len(configs) // 2
-        # gg_loop and loop_braid are module globals of the estimator, where tracers wrap them
-        seen = []
-        monkeypatch.setattr(est_mod, "gg_loop", lambda *args: seen.append(args[1]) or gg_loop(*args))
-        words = [word for _bundle, word in est_mod.config_loops(flow, base, configs)]
-        assert np.array_equal(np.array(seen), configs[~undefined])
-        assert len(words) == len(seen)  # no extraction stayed degenerate here
+        # the batched loops are bitwise the one-configuration ones, and no
+        # extraction stayed degenerate here
+        kept = configs[~undefined]
+        loops = list(est_mod.config_loops(flow, base, configs))
+        assert len(loops) == len(kept)
+        for (bundle, word), config in zip(loops, kept):
+            alone = gg_loop(base, config, flow)
+            assert np.array_equal(bundle.times, alone.times)
+            assert np.array_equal(bundle.positions, alone.positions)
+            assert word == loop_braid(alone)
+
+    def test_config_loops_batches_keep_the_bytes(self, monkeypatch):
+        flow, base = bump_flow(t=16), default_base(3)
+        configs = est_mod.sample_configs(chunk_rng(8, est_mod.TASK_PHI, 0), 40, 3)
+        whole = list(est_mod.config_loops(flow, base, configs))
+        monkeypatch.setattr(est_mod, "LOOP_BATCH_POSITIONS", 1)  # one loop per batch
+        for (a, word_a), (b, word_b) in zip(whole, est_mod.config_loops(flow, base, configs), strict=True):
+            assert np.array_equal(a.positions, b.positions) and word_a == word_b
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize(
+        "flow", [bump_flow(t=1), bump_flow(t=4), bump_flow(t=16), bump_flow(t=-8), MULTI],
+        ids=["t1", "t4", "t16", "t-8", "multi-negative"],
+    )
+    def test_signature_of_cyclic_word(self, flow, n):
+        # 200 configurations per case, 2000 over the ten cases
+        configs = est_mod.sample_configs(chunk_rng(12, est_mod.TASK_PHI, n), 200, n)
+        words = [word for _bundle, word in est_mod.config_loops(flow, None, configs)]
+        assert len(words) > 150
+        assert any(cyclic_reduce(w) != w for w in words)
+        for word in words:
+            assert braid_signature(cyclic_reduce(word)) == braid_signature(word)
 
     @pytest.mark.parametrize("base", [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0]], [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]]])
     def test_config_loops_checks_the_base(self, base):

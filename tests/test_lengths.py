@@ -83,6 +83,26 @@ class TestRateMemo:
         for t in self.TIMES + self.TIMES:
             assert np.array_equal(apply(t, cloud), rotate_by_formula(flow, t, cloud))
 
+    @pytest.mark.parametrize(
+        "flow, stationary",
+        [
+            (rotation_flow(1), "none"),
+            (make_flow([]), "all"),
+            (make_flow([(polynomial_bump(Fraction(1, 4), Fraction(3, 4), 30), 3),
+                        (polynomial_bump(Fraction(1, 8), Fraction(1, 2), 20), -2)]), "some"),
+        ],
+        ids=["rigid", "empty", "two-term"],
+    )
+    def test_stationary_points_are_copied(self, flow, stationary):
+        apply = as_isotopy(flow)
+        cloud = disc_cloud(5, 600)
+        moving = flow.angular_rate_float(np.sum(cloud**2, axis=1)) != 0
+        assert {"none": moving.all(), "all": not moving.any(), "some": 0 < moving.sum() < len(cloud)}[stationary]
+        for t in self.TIMES + [-3.0, 2.5]:
+            got = apply(t, cloud)
+            assert np.array_equal(got, rotate_by_formula(flow, t, cloud))
+            assert np.array_equal(got[~moving], cloud[~moving])
+
     def test_two_clouds_alternating(self):
         flow = bump_flow()
         apply = as_isotopy(flow)
