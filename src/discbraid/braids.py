@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 
+MAX_STRANDS = 2**15  # most strands a parsed word may have, as for an estimate
+
+
 @dataclass(frozen=True)
 class BraidWord:
     """An Artin-generator word on ``strands`` strands."""
@@ -202,7 +205,12 @@ def parse_braid_text(text: str) -> BraidWord:
 
 
 def parse_word(text: str, n: int) -> BraidWord:
-    """Word on n strands from whitespace-separated signed letters, e.g. '1 1 -2'."""
+    """Word on n strands from whitespace-separated signed letters, e.g. '1 1 -2'.
+
+    InputError above MAX_STRANDS strands, before any per-strand work.
+    """
+    if n > MAX_STRANDS:
+        raise InputError(f"need at most {MAX_STRANDS} strands, got {n}")
     tokens = text.split()
     try:
         letters = [int(tok) for tok in tokens]

@@ -88,7 +88,6 @@ class Report:
 def check_crossing_bound(
     flow: FlowSpec,
     n: int,
-    base: Optional[np.ndarray] = None,
     trials: int = 100,
     seed: int = 0,
 ) -> Report:
@@ -103,7 +102,7 @@ def check_crossing_bound(
     margins = [
         2.0 * sum(winding_length(bundle, i, j) + 4.0 for i, j in itertools.combinations(range(n), 2))
         - representative_length(word)
-        for bundle, word in config_loops(flow, base, configs)
+        for bundle, word in config_loops(flow, configs)
     ]
     worst = min(margins, default=math.nan)
     return Report(
@@ -119,18 +118,21 @@ def check_crossing_bound(
     )
 
 
+DEFECT_TRIALS = 200  # word pairs drawn for a sampled defect bound
+
+
 def check_word_length_bound(
     phi: QuasimorphismSpec,
     generator_values: Sequence[Fraction],
     words: Sequence[BraidWord],
     defect: Optional[Fraction] = None,
-    defect_trials: int = 200,
     seed: int = 0,
 ) -> Report:
     """|phi| <= (defect + max generator value) * reduced length over a corpus.
 
     The defect is the declared bound if available, the supplied value, or a
-    sampled lower bound from pairs drawn out of the corpus itself.
+    sampled lower bound from DEFECT_TRIALS pairs drawn out of the corpus
+    itself.
     """
     if defect is None:
         defect = phi.declared_defect_bound
@@ -142,7 +144,7 @@ def check_word_length_bound(
         def sampler(rng):
             return pool[rng.randrange(len(pool))]
 
-        defect = sample_defect(phi, sampler, defect_trials, seed)
+        defect = sample_defect(phi, sampler, DEFECT_TRIALS, seed)
     defect = Fraction(defect)
     gen_max = max((abs(Fraction(v)) for v in generator_values), default=Fraction(0))
     factor = defect + gen_max
@@ -448,7 +450,6 @@ def check_hs_family(
 
 def check_calabi_proportionality(
     profiles: Sequence[RadialProfile],
-    times: Sequence = (1, 1, 1),
     samples: int = 10_000,
     seed: int = 0,
     k_schedule: Sequence[int] = (4, 8),
@@ -456,11 +457,11 @@ def check_calabi_proportionality(
 ) -> Report:
     """Proportionality of the homogenized two-strand estimate to Calabi.
 
-    Every flow built from a compactly supported profile should give the
+    The time-one flow of every compactly supported profile should give the
     same ratio estimate/Calabi; each ratio must sit within 3 combined
     standard errors of the family mean.
     """
-    flows = [make_flow([(h, t)]) for h, t in zip(profiles, times)]
+    flows = [make_flow([(h, 1)]) for h in profiles]
     predicted = [calabi(f) for f in flows]
     result: CalibrationResult = calibrate_constant(
         flows,

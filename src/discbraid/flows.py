@@ -212,12 +212,12 @@ def signature_response(spec: FlowSpec, n: int) -> Fraction:
 
 
 def _derivative_integrand_pieces(profile: RadialProfile):
-    d = profile.derivative()
+    """(a, b, descending float coefficients, roots inside (a, b)) per piece of h'."""
+    breaks, coeffs = profile.derivative().float_pieces
     out = []
-    for k, piece in enumerate(d.pieces):
-        a, b = float(d.breakpoints[k]), float(d.breakpoints[k + 1])
-        coeffs = np.array([float(c) for c in piece][::-1])
-        out.append((a, b, coeffs, real_roots(coeffs, a, b)))
+    for a, b, row in zip(breaks.tolist(), breaks[1:].tolist(), coeffs):
+        desc = row[::-1]
+        out.append((a, b, desc, real_roots(desc, a, b)))
     return out
 
 

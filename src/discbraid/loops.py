@@ -5,8 +5,9 @@ the out-isotopy-back pattern: a straight leg from the base configuration z
 to x on [0, 1/3], the flow orbit of x reparameterized to [1/3, 2/3], then
 a straight leg from g(x) back to z on [2/3, 1], each kept as its two ends.
 The bundle closes up, so the braid read off from it is pure.  ``gg_loops``
-builds the loops of a batch of configurations with one ``flow_path`` call;
-``gg_loop`` is its one-configuration case.
+builds the loops of many configurations, in batches of at most
+LOOP_BATCH_POSITIONS positions with one ``flow_path`` call each, and yields
+one bundle per configuration; ``gg_loop`` is its one-configuration case.
 
 Braids are extracted by projecting all strands onto a direction and
 emitting one Artin generator per adjacent transposition of the projected
@@ -54,8 +55,11 @@ __all__ = [
 ]
 
 COINCIDENCE_THRESHOLD = 1e-9
+LOOP_CLOSURE_TOLERANCE = 1e-12  # how far a loop's last positions may sit from its first
+PERTURB_ATTEMPTS = 8  # directions tried before an extraction counts as degenerate
 # Most positions one sampled loop may hold (16 bytes each, so 256 MiB).
 MAX_LOOP_POSITIONS = 2**24
+LOOP_BATCH_POSITIONS = 2**14  # most positions one gg_loops batch holds: 256 KiB per array
 
 
 @dataclass(frozen=True)
@@ -79,17 +83,18 @@ class TrajectoryBundle:
     def strands(self) -> int:
         return int(self.positions.shape[0])
 
-    def is_loop(self, tol: float = 1e-12) -> bool:
-        return bool(np.allclose(self.positions[:, 0], self.positions[:, -1], atol=tol))
+    def is_loop(self) -> bool:
+        return bool(np.allclose(self.positions[:, 0], self.positions[:, -1], atol=LOOP_CLOSURE_TOLERANCE))
 
 
 def closest_pair(points) -> tuple[float, int, int]:
     """(distance, i, j) of the closest pair, i < j, of n points or strands.
 
     ``points`` is (n, 2), or (n, T, 2) for strands sampled at shared times,
-    whose distance is the least over the samples.  Every separation and
-    coincidence threshold in the package is tested against this one
-    formula (``np.hypot``); the first pair found wins ties.
+    whose distance is the least over the samples (``np.hypot``); the first
+    pair found wins ties.  ``gg_loop``, ``extract_braid`` and the windings
+    of a sampled pair test COINCIDENCE_THRESHOLD against it; ``loop_winding``
+    measures its own leg and orbit distances.
     """
     best = (math.inf, -1, -1)
     for i in range(len(points)):
@@ -119,29 +124,35 @@ def loop_samples(flow: FlowSpec, n: int, samples_per_segment: int | None = None)
 
 
 def gg_loops(base, starts, flow: FlowSpec, samples_per_segment: int | None = None):
-    """Times (m + 3,) and positions (count, n, m + 3, 2) of the loops of a
-    batch of (count, n, 2) start configurations x around the base z.
+    """The loop of each of the (count, n, 2) start configurations x around
+    the base z, one TrajectoryBundle at a time.
 
     Each loop is z, the flow orbit from x to g(x) at m + 1 samples s, z
     again, at times 0, 1/3 + s/3, 1, with m as checked and defaulted by
-    ``loop_samples``.  One ``flow_path`` call moves every point of the
-    batch; it is elementwise in its points, so each loop is bitwise the one
-    a batch of one gives.  Nothing is screened here: ``gg_loop`` checks one
-    configuration and ``coincidence_free`` screens a batch.
+    ``loop_samples``.  The loops are built in batches of at most
+    LOOP_BATCH_POSITIONS positions, with one ``flow_path`` call each; it is
+    elementwise in its points, so each loop is bitwise the one a batch of
+    one gives, and each bundle is a view of its batch.  Nothing is screened
+    here: ``gg_loop`` checks one configuration and ``coincidence_free``
+    screens many.
     """
     z = np.asarray(base, dtype=float)
     x = np.asarray(starts, dtype=float)
     if z.ndim != 2 or z.shape[1] != 2 or x.ndim != 3 or x.shape[1:] != z.shape:
         raise InputError("base must be (n, 2) and starts (count, n, 2)")
-    count, n = x.shape[:2]
+    n = z.shape[0]
     m = loop_samples(flow, n, samples_per_segment)
 
     s = np.linspace(0.0, 1.0, m + 1)
-    positions = np.empty((count, n, m + 3, 2))
-    positions[:, :, 0] = positions[:, :, -1] = z
-    positions[:, :, 1:-1] = flow_path(flow, x.reshape(-1, 2), s).reshape(count, n, m + 1, 2)
     times = np.concatenate(([0.0], 1.0 / 3.0 + s / 3.0, [1.0]))
-    return times, positions
+    batch = max(1, LOOP_BATCH_POSITIONS // (n * (m + 3)))
+    for first in range(0, len(x), batch):
+        part = x[first : first + batch]
+        positions = np.empty((len(part), n, m + 3, 2))
+        positions[:, :, 0] = positions[:, :, -1] = z
+        positions[:, :, 1:-1] = flow_path(flow, part.reshape(-1, 2), s).reshape(len(part), n, m + 1, 2)
+        for loop in positions:
+            yield TrajectoryBundle(times, loop)
 
 
 def gg_loop(
@@ -150,7 +161,7 @@ def gg_loop(
     flow: FlowSpec,
     samples_per_segment: int | None = None,
 ) -> TrajectoryBundle:
-    """The ``gg_loops`` loop of one (n, 2) start configuration, as a bundle.
+    """The ``gg_loops`` loop of one (n, 2) start configuration.
 
     InputError for a base and start of different shapes, or either with a
     coincident pair; pairs passing through each other along the loop are
@@ -164,8 +175,7 @@ def gg_loop(
         d, i, j = closest_pair(points)
         if d < COINCIDENCE_THRESHOLD:
             raise InputError(f"{label} points {i} and {j} coincide")
-    times, positions = gg_loops(z, x[None], flow, samples_per_segment)
-    return TrajectoryBundle(times, positions[0])
+    return next(gg_loops(z, x[None], flow, samples_per_segment))
 
 
 def _segment_distance(a, b):
@@ -329,26 +339,22 @@ def extract_braid(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidWord:
     return BraidWord(n, tuple(letters))
 
 
-def extract_braid_auto(
-    bundle: TrajectoryBundle,
-    direction=(1.0, 0.0),
-    attempts: int = 8,
-) -> BraidWord:
+def extract_braid_auto(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidWord:
     """extract_braid with deterministic direction perturbation on degeneracy."""
-    return _extract_perturbed(bundle, direction, attempts)[0]
+    return _extract_perturbed(bundle, direction)[0]
 
 
-def _extract_perturbed(bundle: TrajectoryBundle, direction, attempts: int):
-    """(word, direction) of the first of ``attempts`` perturbed directions
-    whose extraction is not degenerate; the last degeneracy otherwise."""
-    last: DegenerateConfigurationError | None = None
-    for attempt in range(attempts):
+def _extract_perturbed(bundle: TrajectoryBundle, direction):
+    """(word, direction) of the first of PERTURB_ATTEMPTS perturbed
+    directions whose extraction is not degenerate; the last degeneracy
+    otherwise."""
+    for attempt in range(PERTURB_ATTEMPTS):
         d = perturb_direction(direction, attempt)
         try:
             return extract_braid(bundle, d), d
         except DegenerateConfigurationError as exc:
             last = exc
-    raise last if last is not None else DegenerateConfigurationError("no attempts made")
+    raise last
 
 
 def initial_order(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> tuple[int, ...]:
@@ -371,11 +377,7 @@ def _permutation_word(final) -> list[int]:
     return letters
 
 
-def loop_braid(
-    bundle: TrajectoryBundle,
-    direction=(1.0, 0.0),
-    attempts: int = 8,
-) -> BraidWord:
+def loop_braid(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidWord:
     """Pure braid of a closed bundle, with strands labelled by bundle index.
 
     ``extract_braid`` labels strands by their projected order; the loop braid
@@ -383,7 +385,7 @@ def loop_braid(
     strand i is the strand of ``positions[i-1]``.  Conjugation leaves the
     closure and (for pure words) every pairwise linking number intact.
     """
-    word, d = _extract_perturbed(bundle, direction, attempts)
+    word, d = _extract_perturbed(bundle, direction)
     order = initial_order(bundle, d)
     if order == tuple(range(bundle.strands)):
         return word

@@ -145,13 +145,11 @@ class RadialProfile:
     def max_abs_derivative(self) -> float:
         """Float bound on |h'| over [0, 1], from piece critical points."""
         best = 0.0
-        d = self.derivative()
-        for k, piece in enumerate(d.pieces):
-            a, b = float(d.breakpoints[k]), float(d.breakpoints[k + 1])
-            fl = [float(c) for c in piece]
+        breaks, coeffs = self.derivative().float_pieces
+        for a, b, row in zip(breaks.tolist(), breaks[1:].tolist(), coeffs):
             # critical points strictly inside; the ends are candidates anyway
-            for y in [a, b] + real_roots(np.polyder(np.array(fl[::-1])), a, b):
-                best = max(best, abs(float(evaluate(fl, y))))
+            for y in [a, b] + real_roots(np.polyder(row[::-1]), a, b):
+                best = max(best, abs(float(evaluate(row, y))))
         return best
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional
 
-from .braids import BraidWord, free_reduce, linking_number, power
+from .braids import BraidWord, concat, free_reduce, linking_number, power
 from .errors import InputError
 from .seifert import braid_signature
 
@@ -61,7 +61,6 @@ def homogenize(
     phi: QuasimorphismSpec,
     a: BraidWord,
     k_max: int,
-    tol: Fraction = Fraction(0),
     length_cap: int = 4096,
 ) -> HomogenizedValue:
     """Estimate the homogenization lim phi(a^k)/k.
@@ -70,8 +69,8 @@ def homogenize(
     word length would exceed ``length_cap``).  If the first two ratios agree
     exactly, phi already behaves as a homomorphism on this element and the
     value is returned at k_used = 1.  Otherwise consecutive slopes
-    (phi(a^{2k}) - phi(a^k)) / k are compared and the walk stops once they
-    are within ``tol`` of each other.
+    (phi(a^{2k}) - phi(a^k)) / k are compared and the walk stops once two
+    are equal.
 
     The error bound is the telescoping bound 2*D/k when a defect bound D was
     declared, the last observed slope difference otherwise, and None
@@ -79,7 +78,6 @@ def homogenize(
     """
     if k_max < 2:
         raise InputError("k_max must be at least 2")
-    tol = Fraction(tol)
 
     ks = [1]
     while ks[-1] * 2 <= k_max:
@@ -100,7 +98,7 @@ def homogenize(
     slopes: list[tuple[int, Fraction]] = [] if len(values) >= 2 else [values[0]]
     for (ka, fa), (kb, fb) in zip(values, values[1:]):
         slopes.append((ka, (fb - fa) / (kb - ka)))
-        if len(slopes) >= 2 and abs(slopes[-1][1] - slopes[-2][1]) <= tol:
+        if len(slopes) >= 2 and slopes[-1][1] == slopes[-2][1]:
             break
 
     k_used, value = slopes[-1]
@@ -133,7 +131,7 @@ def sample_defect(
         rng = random.Random((seed << 20) ^ t)
         a = word_sampler(rng)
         b = word_sampler(rng)
-        gap = abs(phi(a.__class__(a.strands, a.letters + b.letters)) - phi(a) - phi(b))
+        gap = abs(phi(concat(a, b)) - phi(a) - phi(b))
         worst = max(worst, gap)
     return worst
 

@@ -239,6 +239,19 @@ def test_lp_length(tmp_path, data):
     check_run(argv)
 
 
+@FUZZ
+@given(data=st.data())
+def test_verify(tmp_path, data):
+    draw = data.draw
+    fast = ["crossing-bound", "word-length", "hs-family", "bilipschitz"]
+    names = st.lists(st.sampled_from(fast) | mostly(st.sampled_from(fast)), min_size=1, max_size=3)
+    argv = ["verify", f"--checks={draw(names.map(','.join))}"]
+    counts = st.integers(-2, 12) | st.sampled_from([0, 2**21, 2**64, 10**30])  # huge: rejected up front
+    argv += options(draw, trials=mostly(counts.map(str)), samples=mostly(counts.map(str)), seed=SMALL_INT)
+    argv += draw(st.sampled_from([[], ["--report", str(tmp_path / "report.json")]]))
+    check_run(argv)
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -256,11 +269,16 @@ def test_lp_length(tmp_path, data):
         # one piece smooth to every order: the check stops past its degree
         (["flow-apply", "--point=0.5,0", "--profile={smooth}", "--unchecked"], 0),
         (["flow-apply", "--point=0.5,0", "--profile={infinite}", "--unchecked"], 1),
+        # the strand count is capped before any per-strand list is built
+        (["invariant", "lk", "--word=", "--strands=" + "1" + "0" * 18], 1),
+        (["invariant", "homogenized", "--phi=lk", "--word=", "--strands=" + "1" + "0" * 18], 1),
+        (["invariant", "signature", "--word=", "--strands=40000"], 1),
     ],
     ids=[
         "homogenized-trivial", "homogenized-empty", "negative-seed", "verify-seed",
         "huge-n", "large-n", "huge-samples", "huge-space-samples", "huge-time-steps",
         "zero-denominator", "huge-smoothness-class", "infinite-smoothness-class",
+        "huge-strands-lk", "huge-strands-homogenized", "large-strands-signature",
     ],
 )
 def test_found_by_fuzzing(tmp_path, argv, code):

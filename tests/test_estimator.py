@@ -145,10 +145,6 @@ class TestEstimatePhi:
             with pytest.raises(InputError):
                 estimate_phi_n(bump_flow(), linking_quasimorphism(i, j), 3, samples=10)
 
-    def test_coincident_base_rejected(self):
-        with pytest.raises(InputError):
-            estimate_phi_n(bump_flow(), LK, 2, base=[[0.5, 0.0], [0.5, 0.0]], samples=10)
-
 
 class TestLoopWinding:
     MULTI = make_flow(
@@ -212,7 +208,7 @@ class TestLoopWinding:
         # the batched loops are bitwise the one-configuration ones, and no
         # extraction stayed degenerate here
         kept = configs[~undefined]
-        loops = list(est_mod.config_loops(flow, base, configs))
+        loops = list(est_mod.config_loops(flow, configs))
         assert len(loops) == len(kept)
         for (bundle, word), config in zip(loops, kept):
             alone = gg_loop(base, config, flow)
@@ -221,11 +217,11 @@ class TestLoopWinding:
             assert word == loop_braid(alone)
 
     def test_config_loops_batches_keep_the_bytes(self, monkeypatch):
-        flow, base = bump_flow(t=16), default_base(3)
+        flow = bump_flow(t=16)
         configs = est_mod.sample_configs(chunk_rng(8, est_mod.TASK_PHI, 0), 40, 3)
-        whole = list(est_mod.config_loops(flow, base, configs))
-        monkeypatch.setattr(est_mod, "LOOP_BATCH_POSITIONS", 1)  # one loop per batch
-        for (a, word_a), (b, word_b) in zip(whole, est_mod.config_loops(flow, base, configs), strict=True):
+        whole = list(est_mod.config_loops(flow, configs))
+        monkeypatch.setattr(loops_mod, "LOOP_BATCH_POSITIONS", 1)  # one loop per batch
+        for (a, word_a), (b, word_b) in zip(whole, est_mod.config_loops(flow, configs), strict=True):
             assert np.array_equal(a.positions, b.positions) and word_a == word_b
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -236,17 +232,11 @@ class TestLoopWinding:
     def test_signature_of_cyclic_word(self, flow, n):
         # 200 configurations per case, 2000 over the ten cases
         configs = est_mod.sample_configs(chunk_rng(12, est_mod.TASK_PHI, n), 200, n)
-        words = [word for _bundle, word in est_mod.config_loops(flow, None, configs)]
+        words = [word for _bundle, word in est_mod.config_loops(flow, configs)]
         assert len(words) > 150
         assert any(cyclic_reduce(w) != w for w in words)
         for word in words:
             assert braid_signature(cyclic_reduce(word)) == braid_signature(word)
-
-    @pytest.mark.parametrize("base", [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0]], [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]]])
-    def test_config_loops_checks_the_base(self, base):
-        configs = est_mod.sample_configs(chunk_rng(5, est_mod.TASK_PHI, 0), 4, 2)
-        with pytest.raises(InputError):
-            list(est_mod.config_loops(bump_flow(), base, configs))
 
     @pytest.mark.parametrize("gap", [4e-10, 4e-9])
     def test_orbit_approach_rejected_below_threshold(self, gap):

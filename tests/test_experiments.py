@@ -70,12 +70,6 @@ class TestCrossingBound:
         with pytest.raises(InputError):
             check_crossing_bound(make_flow([]), 3, trials=0)
 
-    @pytest.mark.parametrize("base", [[[0.5, 0.0], [0.5, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 0.5]]])
-    def test_bad_base_is_input_error(self, base):
-        # a coincident base would otherwise reject every trial and report a NaN margin
-        with pytest.raises(InputError):
-            check_crossing_bound(make_flow([(bump(2, 6, 40), 1)]), 3, base=base, trials=5)
-
 
 class TestWordLengthBound:
     def test_linking_on_two_strands(self):
@@ -192,6 +186,12 @@ class TestMonteCarloChecks:
         )
         assert rep.passed
         assert rep.details["constant"] == pytest.approx(-1.0, abs=0.15)
+
+    def test_calabi_proportionality_checks_every_profile(self):
+        profiles = THREE_PROFILES + [bump(4, 7, 40)]
+        rep = check_calabi_proportionality(profiles, samples=64, seed=2, k_schedule=(1, 2))
+        assert len(rep.details["ratios"]) == len(rep.details["predicted"]) == 4
+        assert len(rep.details["estimates"]) == 4
 
     def test_lipschitz_small(self):
         # a quick, low-sample pass over the machinery; the acceptance suite
