@@ -8,9 +8,11 @@ the sample mean scaled by pi^n.
 A linking number lk[i,j], at any n and for any pair, is the number of
 turns of x_i - x_j around the loop, which ``loops.loop_winding`` gives in
 closed form for a whole chunk, in the calling process.  The signature goes
-through braid extraction: ``config_loops`` screens a chunk, has
-``loops.gg_loops`` build the kept loops and extracts each loop's braid, and
-the signature is evaluated once per cyclically reduced word of the chunk (it
+through braid extraction: ``config_loops`` screens a chunk with
+``loops.coincidence_free``, has ``loops.gg_loops`` build the kept loops and
+reads the braids of each batch with one ``loops.loop_braids`` call (no
+second, sampled screen: the kept loops have none to find), and the
+signature is evaluated once per cyclically reduced word of the chunk (it
 is a class function: conjugation leaves the closure unchanged).  It alone
 uses worker processes.  Both reject a pair (lk: the linked one) whose
 ``loop_winding`` is undefined: it passes through the other along the loop.
@@ -40,10 +42,10 @@ from .errors import DegeneracyError, InputError
 from .flows import FlowSpec, check_rotation
 from .loops import (
     MAX_LOOP_POSITIONS,
-    DegenerateConfigurationError,
+    TrajectoryBundle,
     coincidence_free,
     gg_loops,
-    loop_braid,
+    loop_braids,
     loop_samples,
     loop_winding,
 )
@@ -113,12 +115,10 @@ def config_loops(flow: FlowSpec, configs: np.ndarray):
     ``coincidence_free`` around ``default_base`` and whose extraction is not
     degenerate."""
     base = default_base(configs.shape[1])
-    for bundle in gg_loops(base, configs[coincidence_free(flow, base, configs)], flow):
-        try:
-            word = loop_braid(bundle)
-        except DegenerateConfigurationError:
-            continue
-        yield bundle, word
+    for times, positions in gg_loops(base, configs[coincidence_free(flow, base, configs)], flow):
+        for loop, word in zip(positions, loop_braids(times, positions)):
+            if isinstance(word, BraidWord):
+                yield TrajectoryBundle(times, loop), word
 
 
 def _linking_pair(phi: QuasimorphismSpec, n: int):
@@ -212,7 +212,7 @@ def estimate_phi_n(
 
     if rejected > samples // 2:
         raise DegeneracyError(
-            f"rejected {rejected} of {samples} configurations; flow or base ill-posed"
+            f"rejected {rejected} of {samples} configurations; flow ill-posed"
         )
     if accepted == 0:
         raise DegeneracyError("no configuration was accepted")

@@ -5,17 +5,22 @@ the out-isotopy-back pattern: a straight leg from the base configuration z
 to x on [0, 1/3], the flow orbit of x reparameterized to [1/3, 2/3], then
 a straight leg from g(x) back to z on [2/3, 1], each kept as its two ends.
 The bundle closes up, so the braid read off from it is pure.  ``gg_loops``
-builds the loops of many configurations, in batches of at most
-LOOP_BATCH_POSITIONS positions with one ``flow_path`` call each, and yields
-one bundle per configuration; ``gg_loop`` is its one-configuration case.
+builds the loops of many configurations in batches of at most
+LOOP_BATCH_POSITIONS positions, with one ``flow_path`` call each;
+``gg_loop`` is its one-configuration case.
 
 Braids are extracted by projecting all strands onto a direction and
 emitting one Artin generator per adjacent transposition of the projected
 order, with the sign determined by the planar orientation of the swap
 (counterclockwise passes are positive).  Events are detected between
-consecutive samples assuming linear motion; non-generic projections raise
-a degeneracy error carrying the event time so callers can perturb the
-direction and retry.
+consecutive samples assuming linear motion; non-generic projections are
+degenerate, with the event time, and are retried along perturbed
+directions.  One kernel does this for a whole batch of loops at once:
+``loop_braids`` reads a ``gg_loops`` batch, and ``extract_braid``,
+``extract_braid_auto`` and ``loop_braid`` are its batch of one.  Only the
+three one-bundle entry points screen for strands within
+COINCIDENCE_THRESHOLD at a sample (trajectory files and ``braid-extract``);
+a batch comes from configurations ``coincidence_free`` has already kept.
 
 ``loop_winding`` gives the turns of one pair x_i - x_j around the loop,
 the linking number lk[i,j] of its braid, exactly and without samples: the
@@ -46,6 +51,7 @@ __all__ = [
     "extract_braid",
     "extract_braid_auto",
     "loop_braid",
+    "loop_braids",
     "initial_order",
     "perturb_direction",
     "winding_length",
@@ -124,15 +130,15 @@ def loop_samples(flow: FlowSpec, n: int, samples_per_segment: int | None = None)
 
 
 def gg_loops(base, starts, flow: FlowSpec, samples_per_segment: int | None = None):
-    """The loop of each of the (count, n, 2) start configurations x around
-    the base z, one TrajectoryBundle at a time.
+    """The loops of the (count, n, 2) start configurations x around the
+    base z, one batch at a time.
 
     Each loop is z, the flow orbit from x to g(x) at m + 1 samples s, z
     again, at times 0, 1/3 + s/3, 1, with m as checked and defaulted by
-    ``loop_samples``.  The loops are built in batches of at most
-    LOOP_BATCH_POSITIONS positions, with one ``flow_path`` call each; it is
-    elementwise in its points, so each loop is bitwise the one a batch of
-    one gives, and each bundle is a view of its batch.  Nothing is screened
+    ``loop_samples``.  A batch is (times, positions), positions being the
+    (count, n, m + 3, 2) loops of at most LOOP_BATCH_POSITIONS positions,
+    built with one ``flow_path`` call; it is elementwise in its points, so
+    each loop is bitwise the one a batch of one gives.  Nothing is screened
     here: ``gg_loop`` checks one configuration and ``coincidence_free``
     screens many.
     """
@@ -151,8 +157,7 @@ def gg_loops(base, starts, flow: FlowSpec, samples_per_segment: int | None = Non
         positions = np.empty((len(part), n, m + 3, 2))
         positions[:, :, 0] = positions[:, :, -1] = z
         positions[:, :, 1:-1] = flow_path(flow, part.reshape(-1, 2), s).reshape(len(part), n, m + 1, 2)
-        for loop in positions:
-            yield TrajectoryBundle(times, loop)
+        yield times, positions
 
 
 def gg_loop(
@@ -175,7 +180,8 @@ def gg_loop(
         d, i, j = closest_pair(points)
         if d < COINCIDENCE_THRESHOLD:
             raise InputError(f"{label} points {i} and {j} coincide")
-    return next(gg_loops(z, x[None], flow, samples_per_segment))
+    times, positions = next(gg_loops(z, x[None], flow, samples_per_segment))
+    return TrajectoryBundle(times, positions[0])
 
 
 def _segment_distance(a, b):
@@ -184,6 +190,48 @@ def _segment_distance(a, b):
     den = np.abs(d) ** 2
     t = np.divide(-(a * d.conj()).real, den, out=np.zeros_like(den), where=den > 0)
     return np.abs(a + np.clip(t, 0.0, 1.0) * d)
+
+
+def _base_and_configs(base, configs):
+    z = np.asarray(base, dtype=float)
+    x = np.asarray(configs, dtype=float)
+    if z.ndim != 2 or z.shape[1] != 2 or x.ndim != 3 or x.shape[1:] != z.shape:
+        raise InputError("base must be (n, 2) and configs (count, n, 2)")
+    return z, x
+
+
+def _polar(flow: FlowSpec, points):
+    """Rate, radius, angle and flow image of each of the (count, k, 2) points."""
+    r2 = np.sum(points**2, axis=-1)  # as in flow_path
+    omega = flow.angular_rate_float(np.clip(r2, 0.0, 1.0))
+    r, theta = np.sqrt(r2), np.arctan2(points[..., 1], points[..., 0])
+    return omega, r, theta, r * np.exp(1j * (theta + omega))
+
+
+def _pair_turns(z, x, polar, i: int, j: int) -> np.ndarray:
+    """``loop_winding`` of strands i, j from the ``_polar`` data of x."""
+    (omega_i, omega_j), (r_i, r_j), (theta_i, theta_j), (g_i, g_j) = ((v[:, i], v[:, j]) for v in polar)
+    rel_z = complex(*(z[i] - z[j]))
+    rel_x = (x[:, i, 0] - x[:, j, 0]) + 1j * (x[:, i, 1] - x[:, j, 1])
+    rel_g = g_i - g_j
+
+    outer = r_i > r_j  # strand j on equal radii, where both forms agree
+    sign = np.where(outer, -1.0, 1.0)
+    rho = np.minimum(r_i, r_j) / np.maximum(r_i, r_j)
+    psi0 = sign * (theta_i - theta_j)
+    psi1 = psi0 + sign * (omega_i - omega_j)
+    total = (
+        np.angle(rel_x * np.conj(rel_z))
+        + np.where(outer, omega_i, omega_j)
+        + np.angle(1.0 - rho * np.exp(1j * psi1))
+        - np.angle(1.0 - rho * np.exp(1j * psi0))
+        + np.angle(rel_z * np.conj(rel_g))
+    )
+    # the orbit comes closest, at r_out - r_in, where psi passes 2 pi k
+    near = np.minimum(_segment_distance(rel_z, rel_x), _segment_distance(rel_g, rel_z))
+    passes = np.floor(psi0 / (2.0 * math.pi)) != np.floor(psi1 / (2.0 * math.pi))
+    near = np.where(passes, np.minimum(near, np.abs(r_i - r_j)), near)
+    return np.where(near < COINCIDENCE_THRESHOLD, np.nan, total / (2.0 * math.pi))
 
 
 def loop_winding(flow: FlowSpec, base, configs, i: int, j: int) -> np.ndarray:
@@ -197,49 +245,23 @@ def loop_winding(flow: FlowSpec, base, configs, i: int, j: int) -> np.ndarray:
     The result is NaN where the pair comes within COINCIDENCE_THRESHOLD and
     the winding is undefined; elsewhere it is an integer up to rounding.
     """
-    z = np.asarray(base, dtype=float)
-    x = np.asarray(configs, dtype=float)
+    z, x = _base_and_configs(base, configs)
     n = z.shape[0]
-    if z.shape != (n, 2) or x.ndim != 3 or x.shape[1:] != (n, 2):
-        raise InputError("base must be (n, 2) and configs (count, n, 2)")
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise InputError(f"winding needs two distinct strands of {n}, got {i} and {j}")
     pair = x[:, [i, j]]
-    r2 = np.sum(pair**2, axis=-1)  # (count, 2), as in flow_path
-    omega = flow.angular_rate_float(np.clip(r2, 0.0, 1.0))
-    r, theta = np.sqrt(r2), np.arctan2(pair[..., 1], pair[..., 0])
-    gx = r * np.exp(1j * (theta + omega))
-    rel_z = complex(*(z[i] - z[j]))
-    rel_x = (pair[:, 0, 0] - pair[:, 1, 0]) + 1j * (pair[:, 0, 1] - pair[:, 1, 1])
-    rel_g = gx[:, 0] - gx[:, 1]
-
-    outer = r[:, 0] > r[:, 1]  # strand j on equal radii, where both forms agree
-    sign = np.where(outer, -1.0, 1.0)
-    rho = r.min(axis=1) / r.max(axis=1)
-    psi0 = sign * (theta[:, 0] - theta[:, 1])
-    psi1 = psi0 + sign * (omega[:, 0] - omega[:, 1])
-    total = (
-        np.angle(rel_x * np.conj(rel_z))
-        + np.where(outer, omega[:, 0], omega[:, 1])
-        + np.angle(1.0 - rho * np.exp(1j * psi1))
-        - np.angle(1.0 - rho * np.exp(1j * psi0))
-        + np.angle(rel_z * np.conj(rel_g))
-    )
-    # the orbit comes closest, at r_out - r_in, where psi passes 2 pi k
-    near = np.minimum(_segment_distance(rel_z, rel_x), _segment_distance(rel_g, rel_z))
-    passes = np.floor(psi0 / (2.0 * math.pi)) != np.floor(psi1 / (2.0 * math.pi))
-    near = np.where(passes, np.minimum(near, np.abs(r[:, 0] - r[:, 1])), near)
-    return np.where(near < COINCIDENCE_THRESHOLD, np.nan, total / (2.0 * math.pi))
+    return _pair_turns(z[[i, j]], pair, _polar(flow, pair), 0, 1)
 
 
 def coincidence_free(flow: FlowSpec, base, configs) -> np.ndarray:
     """Mask of the (count, n, 2) configurations whose every pair stays
     COINCIDENCE_THRESHOLD apart along its ``gg_loop``: ``loop_winding`` is
-    defined for every pair."""
-    n = np.shape(configs)[1]
-    keep = np.ones(len(configs), dtype=bool)
-    for i, j in zip(*np.triu_indices(n, 1)):
-        keep &= ~np.isnan(loop_winding(flow, base, configs, i, j))
+    defined for every pair.  Each point's polar data is computed once."""
+    z, x = _base_and_configs(base, configs)
+    polar = _polar(flow, x)
+    keep = np.ones(len(x), dtype=bool)
+    for i, j in zip(*np.triu_indices(x.shape[1], 1)):
+        keep &= ~np.isnan(_pair_turns(z, x, polar, i, j))
     return keep
 
 
@@ -258,103 +280,183 @@ def perturb_direction(direction, attempt: int):
     return (c * dx - s * dy, s * dx + c * dy)
 
 
+_FAILURES = (
+    "simultaneous crossings",
+    "crossing between non-adjacent strands",
+    "crossing with coincident strands",
+    "crossing resolution did not reproduce the sampled order",
+)
+PAIR_BUDGET = 2**18  # most (row, slot pair) entries the crossing kernel holds at once
+
+
+def _crossings(times, positions, direction):
+    """Projected-order crossings of each loop of (count, n, T, 2) finite positions.
+
+    Per loop, (letters, strand order at the first sample), or the
+    DegenerateConfigurationError of its first degenerate sample step.
+    Between consecutive samples the strands move linearly, so a pair swaps
+    its projected order at tau = d0 / (d0 - d1) of the step; the swaps of
+    one step are applied in tau order, each an adjacent transposition
+    signed by the planar orientation of the pass.  A loop whose earlier
+    steps all succeed enters step k in the sorted order of sample k, so
+    every (loop, changed step) row is resolved on its own, all rows at once;
+    a swap can only fall in the window of slots between the first and the
+    last whose strand changes.
+    """
+    dx, dy = direction
+    pos = positions.transpose(1, 0, 2, 3)  # strands first: (n, count, T, 2)
+    proj = np.ascontiguousarray(pos[..., 0] * dx + pos[..., 1] * dy)
+    perp = np.ascontiguousarray(-pos[..., 0] * dy + pos[..., 1] * dx)
+    n, count = proj.shape[:2]
+
+    order = np.argsort(proj, axis=0, kind="stable")
+    ranked = np.take_along_axis(proj, order, axis=0)
+    ties = np.any(ranked[1:] == ranked[:-1], axis=0)  # (count, T)
+    loop, col = np.nonzero(np.any(order[:, :, 1:] != order[:, :, :-1], axis=0))
+    start, end = order[:, loop, col].T, order[:, loop, col + 1].T  # (rows, n)
+    moved = start != end
+    lo = np.argmax(moved, axis=1)
+    width = n - np.argmax(moved[:, ::-1], axis=1) - lo
+    # windows widen to a power of two, 4 to n, so that few widths share the
+    # work; the slots a window gains hold no swap
+    width = np.minimum(n, np.maximum(4, 2 ** np.ceil(np.log2(width)).astype(int)))
+    failure = np.zeros(len(loop), dtype=int)  # 1 + index into _FAILURES
+    row_letters: list = [None] * len(loop)
+
+    for w in np.unique(width).tolist():
+        ia, ib = np.triu_indices(w, 1)  # slot pairs (lower, upper), in the walk's order
+        group = np.nonzero(width == w)[0]
+        step = max(1, PAIR_BUDGET // len(ia))
+        for first in range(0, len(group), step):
+            rows = group[first : first + step]
+            here = np.arange(len(rows))
+            low = np.minimum(lo[rows], n - w)
+            slots = low[:, None] + np.arange(w)
+            strands = np.take_along_axis(start[rows], slots, axis=1)  # (R, w)
+            at, k = loop[rows, None], col[rows, None]
+            s0, s1 = proj[strands, at, k], proj[strands, at, k + 1]
+            d0 = s0[:, ia] - s0[:, ib]
+            d1 = s1[:, ia] - s1[:, ib]
+            cross = (d0 < 0) != (d1 < 0)
+            tau = np.divide(d0, d0 - d1, out=np.full(d0.shape, np.inf), where=cross)
+            crossings = cross.sum(axis=1)
+            events = np.argsort(tau, axis=1, kind="stable")[:, : crossings.max()]
+            live = np.arange(events.shape[1]) < crossings[:, None]
+            tau = np.take_along_axis(tau, events, axis=1)
+            gaps = np.subtract(tau[:, 1:], tau[:, :-1], out=np.ones(live[:, 1:].shape), where=live[:, 1:])
+            tau = np.where(live, tau, 0.0)
+
+            # each event's pair as window strands, numbered by their slot at
+            # the step's start; a dead rank swaps strand 0 with itself
+            a, b = np.where(live, ia[events], 0), np.where(live, ib[events], 0)
+            place = np.tile(np.arange(w), (len(rows), 1))  # window strand -> window slot
+            slot_a, slot_b = np.zeros_like(a), np.zeros_like(b)
+            for rank in range(events.shape[1]):
+                pa, pb = place[here, a[:, rank]], place[here, b[:, rank]]
+                place[here, a[:, rank]], place[here, b[:, rank]] = pb, pa
+                slot_a[:, rank], slot_b[:, rank] = pa, pb
+            # a is left of b until they swap, so they are the left and right strands
+            p0a, p1a, p0b, p1b = (
+                np.take_along_axis(perp[strands, at, k + dk], s, axis=1)
+                for dk, s in ((0, a), (1, a), (0, b), (1, b))
+            )
+            rel_perp = p0a + (p1a - p0a) * tau - p0b - (p1b - p0b) * tau
+            fail = live * np.where(slot_b - slot_a != 1, 2, np.where(rel_perp == 0.0, 3, 0))
+            settled = np.empty_like(strands)
+            np.put_along_axis(settled, place, strands, axis=1)
+            failure[rows] = np.select(
+                [
+                    np.any(gaps < 1e-15, axis=1),
+                    np.any(fail, axis=1),
+                    np.any(settled != np.take_along_axis(end[rows], slots, axis=1), axis=1),
+                ],
+                [1, fail[here, np.argmax(fail != 0, axis=1)], 4],
+            )
+            letters = np.where(rel_perp < 0, 1, -1) * (low[:, None] + slot_a + 1)
+            for r, row, c in zip(rows.tolist(), letters.tolist(), crossings.tolist()):
+                row_letters[r] = row[:c]
+
+    words: list = [[] for _ in range(count)]
+    for i, letters in zip(loop.tolist(), row_letters):
+        words[i] += letters
+    errors = {}
+    for r in np.nonzero(failure)[0].tolist():  # rows run in (loop, step) order
+        at_time = float(times[col[r]])
+        errors.setdefault(int(loop[r]), DegenerateConfigurationError(_FAILURES[failure[r] - 1], at_time))
+    for i in np.nonzero(ties.any(axis=1))[0].tolist():  # a tie anywhere comes first
+        at_time = float(times[np.argmax(ties[i])])
+        errors[i] = DegenerateConfigurationError("projection tie at a sample time", at_time)
+    firsts = order[:, :, 0].T.tolist()
+    return [errors.get(i, (words[i], firsts[i])) for i in range(count)]
+
+
+def _braid_words(times, positions, directions, relabel: bool) -> list:
+    """``_crossings`` of each loop along the first of ``directions`` that is
+    not degenerate for it, each direction tried only on the loops the ones
+    before failed; the word, conjugated to bundle labels if ``relabel``, or
+    the last DegenerateConfigurationError."""
+    n = positions.shape[1]
+    BraidWord(n)  # InputError, before any work, for fewer than 2 strands
+    words: list = [None] * len(positions)
+    todo = list(range(len(positions)))
+    for direction in directions:
+        for index, result in zip(todo, _crossings(times, positions[todo], direction)):
+            if isinstance(result, DegenerateConfigurationError):
+                words[index] = result
+                continue
+            letters, first = result
+            if relabel:
+                # strand with bundle index i must start in the slot where the
+                # projected order placed it
+                u = _permutation_word(first)
+                letters = u + letters + [-l for l in reversed(u)]
+            words[index] = BraidWord(n, tuple(letters))
+        todo = [i for i in todo if isinstance(words[i], DegenerateConfigurationError)]
+        if not todo:
+            break
+    return words
+
+
+def _perturbed(direction) -> list[tuple[float, float]]:
+    """The PERTURB_ATTEMPTS directions tried for ``direction``, normalized."""
+    return [perturb_direction(perturb_direction(direction, a), 0) for a in range(PERTURB_ATTEMPTS)]
+
+
+def loop_braids(times, positions) -> list:
+    """``loop_braid`` of each loop of a ``gg_loops`` batch, without its
+    closest-pair screen: a BraidWord, or the DegenerateConfigurationError
+    of the last of the PERTURB_ATTEMPTS directions."""
+    return _braid_words(times, positions, _perturbed((1.0, 0.0)), relabel=True)
+
+
+def _extract_one(bundle: TrajectoryBundle, directions, relabel: bool) -> BraidWord:
+    """The batch of one: the finiteness check and the closest-pair screen,
+    then ``_braid_words``."""
+    if not np.isfinite(bundle.positions).all():
+        raise InputError("trajectory positions must be finite")
+    if closest_pair(bundle.positions)[0] < COINCIDENCE_THRESHOLD:
+        raise DegenerateConfigurationError("strands pass within coincidence threshold")
+    word = _braid_words(bundle.times, bundle.positions[None], directions, relabel)[0]
+    if isinstance(word, DegenerateConfigurationError):
+        raise word
+    return word
+
+
 def extract_braid(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidWord:
     """Read the braid word of the bundle along a projection direction.
 
     Each change of the projected strand order between consecutive samples is
     resolved into adjacent transpositions ordered by their interpolated
-    crossing times.  Projection ties and ambiguous simultaneous crossings
-    raise :class:`DegenerateConfigurationError` with the event time.
+    crossing times.  Strands within COINCIDENCE_THRESHOLD, projection ties
+    and ambiguous simultaneous crossings raise
+    :class:`DegenerateConfigurationError`, the last three with the event time.
     """
-    dx, dy = perturb_direction(direction, 0)
-    pos = bundle.positions
-    n = pos.shape[0]
-    if closest_pair(pos)[0] < COINCIDENCE_THRESHOLD:
-        raise DegenerateConfigurationError("strands pass within coincidence threshold")
-
-    proj = pos[..., 0] * dx + pos[..., 1] * dy  # (n, T)
-    perp = -pos[..., 0] * dy + pos[..., 1] * dx
-
-    order = np.argsort(proj, axis=0, kind="stable")
-    sorted_proj = np.take_along_axis(proj, order, axis=0)
-    gaps = np.diff(sorted_proj, axis=0)
-    tie_cols = np.nonzero(np.any(gaps == 0.0, axis=0))[0]
-    if tie_cols.size:
-        k = int(tie_cols[0])
-        raise DegenerateConfigurationError(
-            "projection tie at a sample time", time=float(bundle.times[k])
-        )
-
-    changed = np.nonzero(np.any(order[:, 1:] != order[:, :-1], axis=0))[0]
-    # the walk reads plain floats, per sample column: the same IEEE arithmetic, faster
-    proj_cols, perp_cols, order_cols = proj.T.tolist(), perp.T.tolist(), order.T.tolist()
-    letters: list[int] = []
-    slots = list(order_cols[0])
-    for k in changed.tolist():
-        s0, s1 = proj_cols[k], proj_cols[k + 1]
-        events = []
-        for pa in range(n):
-            for pb in range(pa + 1, n):
-                a, b = slots[pa], slots[pb]
-                d0 = s0[a] - s0[b]
-                d1 = s1[a] - s1[b]
-                if d0 == 0.0 or d1 == 0.0:
-                    raise DegenerateConfigurationError(
-                        "projection tie at a sample time", time=float(bundle.times[k])
-                    )
-                if (d0 < 0) != (d1 < 0):
-                    tau = d0 / (d0 - d1)
-                    events.append((tau, a, b))
-        events.sort()
-        for e0, e1 in zip(events, events[1:]):
-            if e1[0] - e0[0] < 1e-15:
-                raise DegenerateConfigurationError(
-                    "simultaneous crossings", time=float(bundle.times[k])
-                )
-        p0, p1 = perp_cols[k], perp_cols[k + 1]
-        for tau, a, b in events:
-            pa, pb = slots.index(a), slots.index(b)
-            if abs(pa - pb) != 1:
-                raise DegenerateConfigurationError(
-                    "crossing between non-adjacent strands", time=float(bundle.times[k])
-                )
-            left_slot = min(pa, pb)
-            left, right = slots[left_slot], slots[left_slot + 1]
-            rel_perp = (
-                p0[left] + (p1[left] - p0[left]) * tau
-                - p0[right] - (p1[right] - p0[right]) * tau
-            )
-            if rel_perp == 0.0:
-                raise DegenerateConfigurationError(
-                    "crossing with coincident strands", time=float(bundle.times[k])
-                )
-            sign = 1 if rel_perp < 0 else -1
-            letters.append(sign * (left_slot + 1))
-            slots[left_slot], slots[left_slot + 1] = slots[left_slot + 1], slots[left_slot]
-        if slots != order_cols[k + 1]:
-            raise DegenerateConfigurationError(
-                "crossing resolution did not reproduce the sampled order",
-                time=float(bundle.times[k]),
-            )
-    return BraidWord(n, tuple(letters))
+    return _extract_one(bundle, [perturb_direction(direction, 0)], relabel=False)
 
 
 def extract_braid_auto(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidWord:
     """extract_braid with deterministic direction perturbation on degeneracy."""
-    return _extract_perturbed(bundle, direction)[0]
-
-
-def _extract_perturbed(bundle: TrajectoryBundle, direction):
-    """(word, direction) of the first of PERTURB_ATTEMPTS perturbed
-    directions whose extraction is not degenerate; the last degeneracy
-    otherwise."""
-    for attempt in range(PERTURB_ATTEMPTS):
-        d = perturb_direction(direction, attempt)
-        try:
-            return extract_braid(bundle, d), d
-        except DegenerateConfigurationError as exc:
-            last = exc
-    raise last
+    return _extract_one(bundle, _perturbed(direction), relabel=False)
 
 
 def initial_order(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> tuple[int, ...]:
@@ -380,19 +482,12 @@ def _permutation_word(final) -> list[int]:
 def loop_braid(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidWord:
     """Pure braid of a closed bundle, with strands labelled by bundle index.
 
-    ``extract_braid`` labels strands by their projected order; the loop braid
-    is that word conjugated by a fixed positive permutation word so that
-    strand i is the strand of ``positions[i-1]``.  Conjugation leaves the
-    closure and (for pure words) every pairwise linking number intact.
+    ``extract_braid_auto`` labels strands by their projected order; the loop
+    braid is that word conjugated by a fixed positive permutation word so
+    that strand i is the strand of ``positions[i-1]``.  Conjugation leaves
+    the closure and (for pure words) every pairwise linking number intact.
     """
-    word, d = _extract_perturbed(bundle, direction)
-    order = initial_order(bundle, d)
-    if order == tuple(range(bundle.strands)):
-        return word
-    # strand with bundle index i must start in the slot where the
-    # projected order placed it
-    u = BraidWord(bundle.strands, tuple(_permutation_word(order)))
-    return BraidWord(bundle.strands, u.letters + word.letters + u.inverse().letters)
+    return _extract_one(bundle, _perturbed(direction), relabel=True)
 
 
 def _relative_angle_steps(bundle: TrajectoryBundle, i: int, j: int) -> np.ndarray:

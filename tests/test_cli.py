@@ -160,6 +160,29 @@ class TestBraidExtract:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "InputError"
 
+    DEGENERATE_TRAJECTORIES = {
+        # a non-loop: the strands swap through the origin between two samples
+        "swap": ("2,2", ["0.0,0,-0.5,0.0", "0.0,1,0.5,0.0", "1.0,0,0.5,0.0", "1.0,1,-0.5,0.0"],
+                 "DegenerateConfigurationError", "crossing with coincident strands"),
+        # a loop: out through each other and back
+        "swap-loop": ("2,3", ["0.0,0,-0.5,0.0", "0.0,1,0.5,0.0", "0.5,0,0.5,0.0", "0.5,1,-0.5,0.0",
+                              "1.0,0,-0.5,0.0", "1.0,1,0.5,0.0"],
+                      "DegenerateConfigurationError", "crossing with coincident strands"),
+        # the strands meet at a sample
+        "touch": ("2,2", ["0.0,0,0.5,0.0", "0.0,1,-0.5,0.0", "1.0,0,0.0,0.0", "1.0,1,0.0,0.0"],
+                  "DegenerateConfigurationError", "strands pass within coincidence threshold"),
+        "one-strand": ("1,2", ["0.0,0,0.5,0.0", "1.0,0,0.5,0.0"], "InputError", "need at least 2 strands, got 1"),
+    }
+
+    @pytest.mark.parametrize("name", list(DEGENERATE_TRAJECTORIES))
+    def test_degenerate_trajectory_error_bytes(self, capsys, tmp_path, name):
+        header, rows, error, message = self.DEGENERATE_TRAJECTORIES[name]
+        traj = tmp_path / "traj.csv"
+        traj.write_text("\n".join([header, "time,strand,x,y", *rows]) + "\n")
+        code, out, err = run_cli(capsys, "braid-extract", "--trajectory", str(traj))
+        assert (code, out) == (1, "")
+        assert err == f'{{"error": "{error}", "message": "{message}"}}\n'
+
     @pytest.mark.parametrize("command", ["braid-extract", "lp-length"])
     @pytest.mark.parametrize("row", ["0.0,-1,-0.5,0", "0.0,5,-0.5,0", "0.5,1,-0.5,0", "0.0,1,nan,0"])
     def test_malformed_trajectory_is_input_error(self, capsys, tmp_path, command, row):

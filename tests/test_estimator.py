@@ -133,8 +133,10 @@ class TestEstimatePhi:
     def test_rejection_counting_and_degeneracy(self, monkeypatch):
         monkeypatch.setattr(loops_mod, "COINCIDENCE_THRESHOLD", 2.5)  # every pair too close
         for phi in (LK, signature_quasimorphism()):
-            with pytest.raises(DegeneracyError):
+            with pytest.raises(DegeneracyError) as info:
                 estimate_phi_n(bump_flow(), phi, 2, samples=40, seed=0)
+            # the flow is the one input left: every estimate loops around default_base
+            assert str(info.value) == "rejected 40 of 40 configurations; flow ill-posed"
 
     def test_strand_checks_before_sampling(self, monkeypatch):
         def no_sampling(*args):

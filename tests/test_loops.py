@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import discbraid.loops as loops_mod
 from discbraid.braids import (
+    BraidWord,
     free_reduce,
     is_pure,
     linking_number,
@@ -13,14 +15,19 @@ from discbraid.braids import (
 from discbraid.errors import DegenerateConfigurationError, InputError
 from discbraid.flows import flow_path, make_flow
 from discbraid.loops import (
+    COINCIDENCE_THRESHOLD,
+    PERTURB_ATTEMPTS,
     TrajectoryBundle,
+    closest_pair,
     coincidence_free,
     extract_braid,
     extract_braid_auto,
     gg_loop,
+    gg_loops,
     MAX_LOOP_POSITIONS,
     initial_order,
     loop_braid,
+    loop_braids,
     loop_samples,
     perturb_direction,
     read_trajectory_csv,
@@ -213,6 +220,14 @@ class TestExtraction:
         assert info.value.time is not None  # the event time travels with it
         assert extract_braid_auto(bundle, (1.0, 0.0)).letters == ()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_positions_rejected(self, value):
+        pos = np.array([[[0.5, 0.0], [value, 0.0], [-0.5, 0.1]], [[-0.5, 0.0], [0.3, 0.0], [0.5, -0.1]]])
+        bundle = TrajectoryBundle(np.linspace(0.0, 1.0, 3), pos)
+        for extract in (extract_braid, extract_braid_auto, loop_braid):
+            with pytest.raises(InputError, match="finite"):
+                extract(bundle)
+
     def test_relabelled_word_matches_bundle_indices(self):
         # base ordered against the projection so relabelling must kick in
         z = np.array([[0.5, 0.1], [-0.5, -0.1], [0.0, 0.3]])
@@ -226,6 +241,255 @@ class TestExtraction:
                 assert linking_number(word, i + 1, j + 1) == round(
                     signed_winding(bundle, i, j)
                 )
+
+
+# The per-column walk that read braids before the batched kernel, kept
+# verbatim as the reference the kernel must reproduce letter for letter.
+
+def walk_extract_braid(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidWord:
+    """Read the braid word of the bundle along a projection direction.
+
+    Each change of the projected strand order between consecutive samples is
+    resolved into adjacent transpositions ordered by their interpolated
+    crossing times.  Projection ties and ambiguous simultaneous crossings
+    raise :class:`DegenerateConfigurationError` with the event time.
+    """
+    dx, dy = perturb_direction(direction, 0)
+    pos = bundle.positions
+    n = pos.shape[0]
+    if closest_pair(pos)[0] < COINCIDENCE_THRESHOLD:
+        raise DegenerateConfigurationError("strands pass within coincidence threshold")
+
+    proj = pos[..., 0] * dx + pos[..., 1] * dy  # (n, T)
+    perp = -pos[..., 0] * dy + pos[..., 1] * dx
+
+    order = np.argsort(proj, axis=0, kind="stable")
+    sorted_proj = np.take_along_axis(proj, order, axis=0)
+    gaps = np.diff(sorted_proj, axis=0)
+    tie_cols = np.nonzero(np.any(gaps == 0.0, axis=0))[0]
+    if tie_cols.size:
+        k = int(tie_cols[0])
+        raise DegenerateConfigurationError(
+            "projection tie at a sample time", time=float(bundle.times[k])
+        )
+
+    changed = np.nonzero(np.any(order[:, 1:] != order[:, :-1], axis=0))[0]
+    # the walk reads plain floats, per sample column: the same IEEE arithmetic, faster
+    proj_cols, perp_cols, order_cols = proj.T.tolist(), perp.T.tolist(), order.T.tolist()
+    letters: list[int] = []
+    slots = list(order_cols[0])
+    for k in changed.tolist():
+        s0, s1 = proj_cols[k], proj_cols[k + 1]
+        events = []
+        for pa in range(n):
+            for pb in range(pa + 1, n):
+                a, b = slots[pa], slots[pb]
+                d0 = s0[a] - s0[b]
+                d1 = s1[a] - s1[b]
+                if d0 == 0.0 or d1 == 0.0:
+                    raise DegenerateConfigurationError(
+                        "projection tie at a sample time", time=float(bundle.times[k])
+                    )
+                if (d0 < 0) != (d1 < 0):
+                    tau = d0 / (d0 - d1)
+                    events.append((tau, a, b))
+        events.sort()
+        for e0, e1 in zip(events, events[1:]):
+            if e1[0] - e0[0] < 1e-15:
+                raise DegenerateConfigurationError(
+                    "simultaneous crossings", time=float(bundle.times[k])
+                )
+        p0, p1 = perp_cols[k], perp_cols[k + 1]
+        for tau, a, b in events:
+            pa, pb = slots.index(a), slots.index(b)
+            if abs(pa - pb) != 1:
+                raise DegenerateConfigurationError(
+                    "crossing between non-adjacent strands", time=float(bundle.times[k])
+                )
+            left_slot = min(pa, pb)
+            left, right = slots[left_slot], slots[left_slot + 1]
+            rel_perp = (
+                p0[left] + (p1[left] - p0[left]) * tau
+                - p0[right] - (p1[right] - p0[right]) * tau
+            )
+            if rel_perp == 0.0:
+                raise DegenerateConfigurationError(
+                    "crossing with coincident strands", time=float(bundle.times[k])
+                )
+            sign = 1 if rel_perp < 0 else -1
+            letters.append(sign * (left_slot + 1))
+            slots[left_slot], slots[left_slot + 1] = slots[left_slot + 1], slots[left_slot]
+        if slots != order_cols[k + 1]:
+            raise DegenerateConfigurationError(
+                "crossing resolution did not reproduce the sampled order",
+                time=float(bundle.times[k]),
+            )
+    return BraidWord(n, tuple(letters))
+
+
+def walk_extract_braid_auto(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidWord:
+    """extract_braid with deterministic direction perturbation on degeneracy."""
+    return walk_extract_perturbed(bundle, direction)[0]
+
+
+def walk_extract_perturbed(bundle: TrajectoryBundle, direction):
+    """(word, direction) of the first of PERTURB_ATTEMPTS perturbed
+    directions whose extraction is not degenerate; the last degeneracy
+    otherwise."""
+    for attempt in range(PERTURB_ATTEMPTS):
+        d = perturb_direction(direction, attempt)
+        try:
+            return walk_extract_braid(bundle, d), d
+        except DegenerateConfigurationError as exc:
+            last = exc
+    raise last
+
+
+def walk_initial_order(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> tuple[int, ...]:
+    """Bundle strand indices sorted by projection at the first sample."""
+    dx, dy = perturb_direction(direction, 0)
+    proj = bundle.positions[:, 0, 0] * dx + bundle.positions[:, 0, 1] * dy
+    return tuple(int(i) for i in np.argsort(proj, kind="stable"))
+
+
+def walk_permutation_word(final) -> list[int]:
+    """Positive word that brings the strand starting in slot final[q] to slot q."""
+    current = list(range(len(final)))
+    letters = []
+    for q, strand in enumerate(final):
+        p = current.index(strand)
+        while p > q:
+            letters.append(p)  # 1-based generator index p swaps slots p-1, p
+            current[p - 1], current[p] = current[p], current[p - 1]
+            p -= 1
+    return letters
+
+
+def walk_loop_braid(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidWord:
+    """Pure braid of a closed bundle, with strands labelled by bundle index.
+
+    ``extract_braid`` labels strands by their projected order; the loop braid
+    is that word conjugated by a fixed positive permutation word so that
+    strand i is the strand of ``positions[i-1]``.  Conjugation leaves the
+    closure and (for pure words) every pairwise linking number intact.
+    """
+    word, d = walk_extract_perturbed(bundle, direction)
+    order = walk_initial_order(bundle, d)
+    if order == tuple(range(bundle.strands)):
+        return word
+    # strand with bundle index i must start in the slot where the
+    # projected order placed it
+    u = BraidWord(bundle.strands, tuple(walk_permutation_word(order)))
+    return BraidWord(bundle.strands, u.letters + word.letters + u.inverse().letters)
+
+
+def outcome(extract, *args):
+    """The word's letters, or the degeneracy's message and event time."""
+    try:
+        return extract(*args).letters
+    except DegenerateConfigurationError as exc:
+        return (str(exc), exc.time)
+
+
+def batch_outcome(word):
+    return word.letters if isinstance(word, BraidWord) else (str(word), word.time)
+
+
+def crossing_bundle(starts, ends, steps=1):
+    """Strands moving on straight lines from starts to ends, sampled at steps + 1 times."""
+    s = np.linspace(0.0, 1.0, steps + 1)[None, :, None]
+    a, b = np.asarray(starts, dtype=float)[:, None], np.asarray(ends, dtype=float)[:, None]
+    return TrajectoryBundle(np.linspace(0.0, 1.0, steps + 1), a + (b - a) * s)
+
+
+class TestKernelMatchesWalk:
+    FLOWS = {
+        **{f"t{t}": make_flow([(polynomial_bump(Fraction(1, 4), Fraction(3, 4), 20), t)]) for t in (1, 4, 16, -8)},
+        "multi": make_flow(
+            [
+                (polynomial_bump(Fraction(1, 8), Fraction(1, 2), 60), Fraction(-3, 2)),
+                (polynomial_bump(Fraction(3, 8), Fraction(7, 8), 48), 2),
+            ]
+        ),
+    }
+    # (strands, configurations); 24 strands open windows far wider than 2
+    SIZES = ((2, 24), (3, 24), (4, 16), (5, 10), (6, 8), (24, 2))
+
+    @pytest.mark.parametrize("batch", [None, 1], ids=["default-batch", "batch-of-one"])
+    @pytest.mark.parametrize("name", list(FLOWS))
+    def test_words_match_the_walk(self, monkeypatch, name, batch):
+        if batch is not None:
+            monkeypatch.setattr(loops_mod, "LOOP_BATCH_POSITIONS", batch)
+        flow = self.FLOWS[name]
+        rng = np.random.default_rng(len(name) + (batch or 0))
+        lettered = 0
+        for n, count in self.SIZES:
+            z = polygon(n)
+            configs = np.array([random_config(rng, n) for _ in range(count)])
+            configs = configs[coincidence_free(flow, z, configs)]
+            assert len(configs) >= count // 2
+            for times, positions in gg_loops(z, configs, flow):
+                for loop, word in zip(positions, loop_braids(times, positions), strict=True):
+                    bundle = TrajectoryBundle(times, loop)
+                    expected = outcome(walk_loop_braid, bundle)
+                    assert batch_outcome(word) == expected
+                    assert outcome(loop_braid, bundle) == expected
+                    lettered += len(expected) > 0
+        assert lettered > 20
+
+    def test_one_bundle_entry_points_match_the_walk(self):
+        rng = np.random.default_rng(3)
+        flow = self.FLOWS["t4"]
+        for n in (2, 3, 5):
+            bundle = gg_loop(polygon(n), random_config(rng, n), flow)
+            for direction in ((1.0, 0.0), (-1.0, 0.3), (3.0, 4.0)):
+                for ours, walk in (
+                    (extract_braid, walk_extract_braid),
+                    (extract_braid_auto, walk_extract_braid_auto),
+                    (loop_braid, walk_loop_braid),
+                ):
+                    assert outcome(ours, bundle, direction) == outcome(walk, bundle, direction)
+
+    DEGENERATE = {
+        # x-projections tie at every sample
+        "vertical-pair": gg_loop(np.array([[0.0, 0.4], [0.0, -0.4]]), np.array([[0.0, 0.4], [0.0, -0.4]]), make_flow([]), 8),
+        # the strands pass through the origin together, between two samples
+        "coincident-legs": crossing_bundle([[-0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [-0.5, 0.0]]),
+        # the swapped base sends the loop's legs through each other
+        "swapped-base": gg_loop(polygon(2), polygon(2)[::-1], make_flow([]), 8),
+        # two disjoint pairs swap at the same interpolated time
+        "simultaneous": crossing_bundle(
+            [[-2.0, 0.1], [-1.0, -0.1], [1.0, 0.1], [2.0, -0.1]],
+            [[-1.0, 0.1], [-2.0, -0.1], [2.0, 0.1], [1.0, -0.1]],
+        ),
+        # a non-loop trajectory: a half turn of two points
+        "half-turn": crossing_bundle([[0.5, 0.0], [-0.5, 0.0]], [[-0.5, 0.1], [0.5, -0.1]], 3),
+        # two strands meet at a sample
+        "touching": crossing_bundle([[0.5, 0.0], [-0.5, 0.0]], [[0.0, 0.0], [0.0, 0.0]]),
+    }
+
+    @pytest.mark.parametrize("name", list(DEGENERATE))
+    def test_degeneracies_match_the_walk(self, name):
+        bundle = self.DEGENERATE[name]
+        for ours, walk in (
+            (extract_braid, walk_extract_braid),
+            (extract_braid_auto, walk_extract_braid_auto),
+            (loop_braid, walk_loop_braid),
+        ):
+            assert outcome(ours, bundle) == outcome(walk, bundle)
+
+    def test_degenerate_loops_in_a_batch(self):
+        # every loop around a vertical base ties at its ends along (1, 0), so
+        # each is retried along perturbed directions; the swapped starts stay
+        # degenerate along all of them
+        z = np.array([[0.0, 0.4], [0.0, -0.4]])
+        starts = np.array([z, z[::-1], [[0.3, 0.1], [-0.2, -0.5]], [[0.0, 0.2], [0.0, -0.2]]])
+        times, positions = next(gg_loops(z, starts, self.FLOWS["t4"]))
+        words = loop_braids(times, positions)
+        expected = [outcome(walk_loop_braid, TrajectoryBundle(times, loop)) for loop in positions]
+        assert [batch_outcome(w) for w in words] == expected
+        assert expected[1] == ("crossing with coincident strands", 0.0)
+        assert all(isinstance(letter, int) for letter in expected[0] + expected[2])
 
 
 class TestWinding:
