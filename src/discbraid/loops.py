@@ -52,7 +52,6 @@ __all__ = [
     "extract_braid_auto",
     "loop_braid",
     "loop_braids",
-    "initial_order",
     "perturb_direction",
     "winding_length",
     "signed_winding",
@@ -286,7 +285,7 @@ _FAILURES = (
     "crossing with coincident strands",
     "crossing resolution did not reproduce the sampled order",
 )
-PAIR_BUDGET = 2**18  # most (row, slot pair) entries the crossing kernel holds at once
+PAIR_BUDGET = 2**18  # most (row, slot, slot) entries the crossing kernel holds at once
 
 
 def _crossings(times, positions, direction):
@@ -299,9 +298,9 @@ def _crossings(times, positions, direction):
     one step are applied in tau order, each an adjacent transposition
     signed by the planar orientation of the pass.  A loop whose earlier
     steps all succeed enters step k in the sorted order of sample k, so
-    every (loop, changed step) row is resolved on its own, all rows at once;
-    a swap can only fall in the window of slots between the first and the
-    last whose strand changes.
+    every (loop, changed step) row is resolved on its own, all rows at once.
+    Slot pairs are screened PAIR_BUDGET (row, slot, slot) entries at a time
+    and only the crossing ones are kept.
     """
     dx, dy = direction
     pos = positions.transpose(1, 0, 2, 3)  # strands first: (n, count, T, 2)
@@ -314,67 +313,62 @@ def _crossings(times, positions, direction):
     ties = np.any(ranked[1:] == ranked[:-1], axis=0)  # (count, T)
     loop, col = np.nonzero(np.any(order[:, :, 1:] != order[:, :, :-1], axis=0))
     start, end = order[:, loop, col].T, order[:, loop, col + 1].T  # (rows, n)
-    moved = start != end
-    lo = np.argmax(moved, axis=1)
-    width = n - np.argmax(moved[:, ::-1], axis=1) - lo
-    # windows widen to a power of two, 4 to n, so that few widths share the
-    # work; the slots a window gains hold no swap
-    width = np.minimum(n, np.maximum(4, 2 ** np.ceil(np.log2(width)).astype(int)))
     failure = np.zeros(len(loop), dtype=int)  # 1 + index into _FAILURES
     row_letters: list = [None] * len(loop)
+    lows = min(n - 1, max(1, PAIR_BUDGET // n))  # lower slots per block
+    step = max(1, PAIR_BUDGET // (lows * n))  # rows per block
 
-    for w in np.unique(width).tolist():
-        ia, ib = np.triu_indices(w, 1)  # slot pairs (lower, upper), in the walk's order
-        group = np.nonzero(width == w)[0]
-        step = max(1, PAIR_BUDGET // len(ia))
-        for first in range(0, len(group), step):
-            rows = group[first : first + step]
-            here = np.arange(len(rows))
-            low = np.minimum(lo[rows], n - w)
-            slots = low[:, None] + np.arange(w)
-            strands = np.take_along_axis(start[rows], slots, axis=1)  # (R, w)
-            at, k = loop[rows, None], col[rows, None]
-            s0, s1 = proj[strands, at, k], proj[strands, at, k + 1]
-            d0 = s0[:, ia] - s0[:, ib]
-            d1 = s1[:, ia] - s1[:, ib]
-            cross = (d0 < 0) != (d1 < 0)
-            tau = np.divide(d0, d0 - d1, out=np.full(d0.shape, np.inf), where=cross)
-            crossings = cross.sum(axis=1)
-            events = np.argsort(tau, axis=1, kind="stable")[:, : crossings.max()]
-            live = np.arange(events.shape[1]) < crossings[:, None]
-            tau = np.take_along_axis(tau, events, axis=1)
-            gaps = np.subtract(tau[:, 1:], tau[:, :-1], out=np.ones(live[:, 1:].shape), where=live[:, 1:])
-            tau = np.where(live, tau, 0.0)
+    for first in range(0, len(loop), step):
+        rows = np.arange(first, min(first + step, len(loop)))
+        strands, at, k = start[rows], loop[rows, None], col[rows, None]
+        s0, s1 = proj[strands, at, k], proj[strands, at, k + 1]
+        found = []
+        for low in range(0, n - 1, lows):
+            d0 = s0[:, low : low + lows, None] - s0[:, None, :]  # (rows, lower slot, upper slot)
+            d1 = s1[:, low : low + lows, None] - s1[:, None, :]
+            upper = np.arange(n) > np.arange(low, min(n, low + lows))[:, None]
+            cross = ((d0 < 0) != (d1 < 0)) & upper
+            r, a, b = np.nonzero(cross)
+            found.append((r, a + low, b, d0[cross], d1[cross]))
+        r, a, b, d0, d1 = (np.concatenate(v) for v in zip(*found))
+        tau = d0 / (d0 - d1)
+        # by row, then tau; the stable sort keeps ties in slot-pair order
+        by = np.lexsort((tau, r))
+        r, a, b, tau = r[by], a[by], b[by], tau[by]
+        crossings = np.bincount(r, minlength=len(rows))
+        nth = np.arange(len(r)) - (np.cumsum(crossings) - crossings)[r]  # rank in its row
+        # each row's events by rank, each pair as strands numbered by their
+        # slot at the step's start; a dead rank swaps strand 0 with itself
+        shape = (len(rows), int(crossings.max()))
+        live = np.arange(shape[1]) < crossings[:, None]
+        a_rank, b_rank, tau_rank = np.zeros(shape, dtype=int), np.zeros(shape, dtype=int), np.zeros(shape)
+        a_rank[r, nth], b_rank[r, nth], tau_rank[r, nth] = a, b, tau
+        a, b, tau = a_rank, b_rank, tau_rank
+        gaps = np.subtract(tau[:, 1:], tau[:, :-1], out=np.ones(live[:, 1:].shape), where=live[:, 1:])
 
-            # each event's pair as window strands, numbered by their slot at
-            # the step's start; a dead rank swaps strand 0 with itself
-            a, b = np.where(live, ia[events], 0), np.where(live, ib[events], 0)
-            place = np.tile(np.arange(w), (len(rows), 1))  # window strand -> window slot
-            slot_a, slot_b = np.zeros_like(a), np.zeros_like(b)
-            for rank in range(events.shape[1]):
-                pa, pb = place[here, a[:, rank]], place[here, b[:, rank]]
-                place[here, a[:, rank]], place[here, b[:, rank]] = pb, pa
-                slot_a[:, rank], slot_b[:, rank] = pa, pb
-            # a is left of b until they swap, so they are the left and right strands
-            p0a, p1a, p0b, p1b = (
-                np.take_along_axis(perp[strands, at, k + dk], s, axis=1)
-                for dk, s in ((0, a), (1, a), (0, b), (1, b))
-            )
-            rel_perp = p0a + (p1a - p0a) * tau - p0b - (p1b - p0b) * tau
-            fail = live * np.where(slot_b - slot_a != 1, 2, np.where(rel_perp == 0.0, 3, 0))
-            settled = np.empty_like(strands)
-            np.put_along_axis(settled, place, strands, axis=1)
-            failure[rows] = np.select(
-                [
-                    np.any(gaps < 1e-15, axis=1),
-                    np.any(fail, axis=1),
-                    np.any(settled != np.take_along_axis(end[rows], slots, axis=1), axis=1),
-                ],
-                [1, fail[here, np.argmax(fail != 0, axis=1)], 4],
-            )
-            letters = np.where(rel_perp < 0, 1, -1) * (low[:, None] + slot_a + 1)
-            for r, row, c in zip(rows.tolist(), letters.tolist(), crossings.tolist()):
-                row_letters[r] = row[:c]
+        here = np.arange(len(rows))
+        place = np.tile(np.arange(n), (len(rows), 1))  # strand -> slot
+        slot_a, slot_b = np.zeros_like(a), np.zeros_like(b)
+        for rank in range(shape[1]):
+            pa, pb = place[here, a[:, rank]], place[here, b[:, rank]]
+            place[here, a[:, rank]], place[here, b[:, rank]] = pb, pa
+            slot_a[:, rank], slot_b[:, rank] = pa, pb
+        # a is left of b until they swap, so they are the left and right strands
+        p0a, p1a, p0b, p1b = (
+            np.take_along_axis(perp[strands, at, k + dk], s, axis=1)
+            for dk, s in ((0, a), (1, a), (0, b), (1, b))
+        )
+        rel_perp = p0a + (p1a - p0a) * tau - p0b - (p1b - p0b) * tau
+        fail = live * np.where(slot_b - slot_a != 1, 2, np.where(rel_perp == 0.0, 3, 0))
+        settled = np.empty_like(strands)
+        np.put_along_axis(settled, place, strands, axis=1)
+        failure[rows] = np.select(
+            [np.any(gaps < 1e-15, axis=1), np.any(fail, axis=1), np.any(settled != end[rows], axis=1)],
+            [1, fail[here, np.argmax(fail != 0, axis=1)], 4],
+        )
+        letters = np.where(rel_perp < 0, 1, -1) * (slot_a + 1)
+        for i, row, c in zip(rows.tolist(), letters.tolist(), crossings.tolist()):
+            row_letters[i] = row[:c]
 
     words: list = [[] for _ in range(count)]
     for i, letters in zip(loop.tolist(), row_letters):
@@ -457,13 +451,6 @@ def extract_braid(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidWord:
 def extract_braid_auto(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidWord:
     """extract_braid with deterministic direction perturbation on degeneracy."""
     return _extract_one(bundle, _perturbed(direction), relabel=False)
-
-
-def initial_order(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> tuple[int, ...]:
-    """Bundle strand indices sorted by projection at the first sample."""
-    dx, dy = perturb_direction(direction, 0)
-    proj = bundle.positions[:, 0, 0] * dx + bundle.positions[:, 0, 1] * dy
-    return tuple(int(i) for i in np.argsort(proj, kind="stable"))
 
 
 def _permutation_word(final) -> list[int]:

@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import discbraid.loops as loops
 from discbraid.cli import main
 from discbraid.estimator import default_base
 from discbraid.flows import flow_to_json, make_flow
@@ -182,6 +184,27 @@ class TestBraidExtract:
         code, out, err = run_cli(capsys, "braid-extract", "--trajectory", str(traj))
         assert (code, out) == (1, "")
         assert err == f'{{"error": "{error}", "message": "{message}"}}\n'
+
+    def test_wide_trajectory_memory_is_bounded(self, capsys, tmp_path, monkeypatch):
+        # the end strands pass their neighbours, so the step's changed slots
+        # span all 300 strands: 44850 slot pairs, screened 4096 at a time
+        monkeypatch.setattr(loops, "PAIR_BUDGET", 2**12)
+        n, h = 300, 1.8 / 299
+        x = [-0.9 + h * i for i in range(n)]
+        ends = [(x[1] + 0.3 * h, 0.1), *((xi, 0.0) for xi in x[1:-1]), (x[-2] - 0.6 * h, -0.1)]
+        starts = [(x[0], 0.1), *((xi, 0.0) for xi in x[1:-1]), (x[-1], -0.1)]
+        rows = [f"{t!r},{i},{px!r},{py!r}" for t, points in ((0.0, starts), (1.0, ends)) for i, (px, py) in enumerate(points)]
+        traj = tmp_path / "traj.csv"
+        traj.write_text("\n".join([f"{n},2", "time,strand,x,y", *rows]) + "\n")
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "braid-extract", "--trajectory", str(traj))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        assert [l for l in out.splitlines() if not l.startswith("#")] == ["300", f"-{n - 1} -1"]
+        assert peak < 2**20  # one unscreened row of 44850 slot pairs needs over 2 MiB
 
     @pytest.mark.parametrize("command", ["braid-extract", "lp-length"])
     @pytest.mark.parametrize("row", ["0.0,-1,-0.5,0", "0.0,5,-0.5,0", "0.5,1,-0.5,0", "0.0,1,nan,0"])

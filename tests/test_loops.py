@@ -25,7 +25,6 @@ from discbraid.loops import (
     gg_loop,
     gg_loops,
     MAX_LOOP_POSITIONS,
-    initial_order,
     loop_braid,
     loop_braids,
     loop_samples,
@@ -234,7 +233,7 @@ class TestExtraction:
         x = np.array([[0.2, 0.5], [0.4, -0.3], [-0.6, 0.0]])
         flow = bump_flow()
         bundle = gg_loop(z, x, flow, 128)
-        assert initial_order(bundle) != (0, 1, 2)
+        assert walk_initial_order(bundle) != (0, 1, 2)
         word = loop_braid(bundle)
         for i in range(3):
             for j in range(i + 1, 3):
@@ -412,14 +411,18 @@ class TestKernelMatchesWalk:
             ]
         ),
     }
-    # (strands, configurations); 24 strands open windows far wider than 2
+    # (strands, configurations); 24 strands make rows of 276 slot pairs
     SIZES = ((2, 24), (3, 24), (4, 16), (5, 10), (6, 8), (24, 2))
 
-    @pytest.mark.parametrize("batch", [None, 1], ids=["default-batch", "batch-of-one"])
+    @pytest.mark.parametrize(
+        "batch, budget", [(None, None), (1, None), (None, 64)], ids=["default-batch", "batch-of-one", "small-pair-budget"]
+    )
     @pytest.mark.parametrize("name", list(FLOWS))
-    def test_words_match_the_walk(self, monkeypatch, name, batch):
+    def test_words_match_the_walk(self, monkeypatch, name, batch, budget):
         if batch is not None:
             monkeypatch.setattr(loops_mod, "LOOP_BATCH_POSITIONS", batch)
+        if budget is not None:  # blocks of a few rows, or of two lower slots of one row
+            monkeypatch.setattr(loops_mod, "PAIR_BUDGET", budget)
         flow = self.FLOWS[name]
         rng = np.random.default_rng(len(name) + (batch or 0))
         lettered = 0
