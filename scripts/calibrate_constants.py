@@ -1,20 +1,19 @@
 #!/usr/bin/env python3
-"""Estimate the proportionality constants relating flow quasi-morphisms to
-their closed-form predictors.
+"""Compare flow quasi-morphism estimates with their closed forms.
 
-Two families are calibrated:
+Two families are compared:
 
-* the homogenized 2-strand linking estimate against the Calabi value
-  (theory: a single constant; with this package's crossing conventions it
-  comes out at -1, matching the closed form 2*pi*t*INT y h' = -Calabi for
-  compactly supported profiles);
-* the homogenized 3-strand signature estimate against 4 INT y h over
-  Calabi-zero bump profiles at t = 4.  That moment is proportional to the
-  exact response (``flows.signature_response``) only because the profiles
-  have zero mean; the exact constant, -12 pi^2, is printed next to the
-  fitted one.
+* the homogenized 2-strand linking estimate against the Calabi value, by
+  ``experiments.check_calabi_proportionality``: the constant is the mean
+  ratio (theory: a single constant; with this package's crossing
+  conventions it comes out at -1, matching the closed form
+  2*pi*t*INT y h' = -Calabi for compactly supported profiles) and the
+  spread the worst relative deviation from it;
+* the homogenized 3-strand signature estimate of four hs flows at t = 4
+  against its exact value pi^2 * ``flows.signature_response``, with the
+  z-score of each estimate.
 
-Usage: python scripts/calibrate_constants.py [--samples N] [--seed S]
+Usage: python scripts/calibrate_constants.py [--samples N] [--seed S] [--threads T]
 """
 
 import argparse
@@ -22,11 +21,11 @@ import math
 import sys
 from fractions import Fraction
 
-from discbraid.estimator import calibrate_constant
-from discbraid.experiments import calabi_profiles
-from discbraid.flows import calabi, make_flow, signature_response
+from discbraid.estimator import estimate_phi_tilde_n
+from discbraid.experiments import calabi_profiles, check_calabi_proportionality
+from discbraid.flows import make_flow, signature_response
 from discbraid.profiles import make_hs_profile
-from discbraid.quasimorphisms import linking_quasimorphism, signature_quasimorphism
+from discbraid.quasimorphisms import signature_quasimorphism
 
 
 def main() -> int:
@@ -36,41 +35,29 @@ def main() -> int:
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
-    calabi_flows = [make_flow([(h, 1)]) for h in calabi_profiles()]
-    result = calibrate_constant(
-        calabi_flows,
-        linking_quasimorphism(1, 2),
-        2,
-        [calabi(f) for f in calabi_flows],
-        samples=args.samples,
-        seed=args.seed,
-        k_schedule=(4, 8),
-        threads=args.threads,
-    )
+    details = check_calabi_proportionality(
+        calabi_profiles(), samples=args.samples, seed=args.seed, k_schedule=(4, 8), threads=args.threads
+    ).details
     print("2-strand estimate / Calabi:")
-    print(f"  constant = {result.constant:+.5f}   spread = {result.spread:.2%}")
-    for ratio, est in zip(result.ratios, result.estimates):
-        print(f"  ratio {ratio:+.5f}  (value {est.value:+.5f} +- {est.std_error:.5f})")
+    print(f"  constant = {details['constant']:+.5f}   spread = {details['spread']:.2%}")
+    for ratio, est in zip(details["ratios"], details["estimates"]):
+        print(f"  ratio {ratio:+.5f}  (value {est['value']:+.5f} +- {est['std_error']:.5f})")
 
-    moment_profiles = [make_hs_profile(Fraction(1, 4) + Fraction(k, 36)) for k in range(4)]
-    moment_flows = [make_flow([(h, 4)]) for h in moment_profiles]
-    predicted = [4 * float(h.moment(1)) for h in moment_profiles]
-    result = calibrate_constant(
-        moment_flows,
-        signature_quasimorphism(),
-        3,
-        predicted,
-        samples=max(args.samples // 4, 2000),
-        seed=args.seed,
-        k_schedule=(1, 2),
-        threads=args.threads,
-    )
-    exact = [math.pi**2 * float(signature_response(f, 3)) / p for f, p in zip(moment_flows, predicted)]
-    exact_constant = sum(exact) / len(exact)
-    print("3-strand signature estimate / moment:")
-    print(f"  constant = {result.constant:+.3f}   spread = {result.spread:.2%}   exact = {exact_constant:+.3f}")
-    for ratio, est in zip(result.ratios, result.estimates):
-        print(f"  ratio {ratio:+.3f}  (value {est.value:+.4f} +- {est.std_error:.4f})")
+    print("3-strand signature estimate against pi^2 * signature_response:")
+    for s in (Fraction(1, 4) + Fraction(k, 36) for k in range(4)):
+        flow = make_flow([(make_hs_profile(s), 4)])
+        est = estimate_phi_tilde_n(
+            flow,
+            signature_quasimorphism(),
+            3,
+            samples=max(args.samples // 4, 2000),
+            seed=args.seed,
+            k_schedule=(1, 2),
+            threads=args.threads,
+        )
+        exact = math.pi**2 * float(signature_response(flow, 3))
+        z = (est.value - exact) / est.std_error
+        print(f"  s = {s}  value {est.value:+.4f} +- {est.std_error:.4f}  exact {exact:+.4f}  z = {z:+.2f}")
     return 0
 
 

@@ -27,7 +27,6 @@ from .braids import (
 from .errors import DegeneracyError, DegenerateConfigurationError, InputError
 from .estimator import (
     QmEstimate,
-    calibrate_constant,
     default_base,
     estimate_phi_n,
     estimate_phi_tilde_n,

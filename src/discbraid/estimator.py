@@ -33,7 +33,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .errors import DegeneracyError, InputError
 from .flows import FlowSpec, check_rotation
 from .loops import (
     MAX_LOOP_POSITIONS,
-    TrajectoryBundle,
     coincidence_free,
     gg_loops,
     loop_braids,
@@ -53,13 +52,11 @@ from .quasimorphisms import QuasimorphismSpec
 
 __all__ = [
     "QmEstimate",
-    "CalibrationResult",
     "default_base",
     "sample_configs",
     "config_loops",
     "estimate_phi_n",
     "estimate_phi_tilde_n",
-    "calibrate_constant",
 ]
 
 CHUNK_SAMPLES = 512
@@ -111,14 +108,14 @@ def sample_configs(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
 
 
 def config_loops(flow: FlowSpec, configs: np.ndarray):
-    """(loop bundle, loop braid) of each (count, n, 2) configuration that is
+    """(times, loop, loop braid) of each (count, n, 2) configuration that is
     ``coincidence_free`` around ``default_base`` and whose extraction is not
-    degenerate."""
+    degenerate; the loop is its (n, T, 2) view into the ``gg_loops`` batch."""
     base = default_base(configs.shape[1])
     for times, positions in gg_loops(base, configs[coincidence_free(flow, base, configs)], flow):
         for loop, word in zip(positions, loop_braids(times, positions)):
             if isinstance(word, BraidWord):
-                yield TrajectoryBundle(times, loop), word
+                yield times, loop, word
 
 
 def _linking_pair(phi: QuasimorphismSpec, n: int):
@@ -155,7 +152,7 @@ def _phi_chunk(
         # phi is a class function, so it is evaluated once per cyclic word of the chunk
         memo: dict[BraidWord, float] = {}
         values = []
-        for _bundle, word in config_loops(flow, configs):
+        for _times, _loop, word in config_loops(flow, configs):
             word = cyclic_reduce(word)
             if word not in memo:
                 memo[word] = float(phi(word))
@@ -256,54 +253,3 @@ def estimate_phi_tilde_n(
     cauchy = abs(values[-1] - values[-2]) if len(ks) >= 2 else 0.0
     last = per_k[-1]
     return QmEstimate(values[-1], last.std_error / ks[-1] + cauchy, last.samples, last.rejected, seed, ks)
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    constant: float
-    spread: float
-    ratios: tuple[float, ...]
-    estimates: tuple[QmEstimate, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "constant": self.constant,
-            "spread": self.spread,
-            "ratios": list(self.ratios),
-            "estimates": [e.to_dict() for e in self.estimates],
-        }
-
-
-def calibrate_constant(
-    flows: Sequence[FlowSpec],
-    phi: QuasimorphismSpec,
-    n: int,
-    predicted: Sequence[float],
-    samples: int = 10_000,
-    seed: int = 0,
-    k_schedule: Optional[Sequence[int]] = None,
-    threads: int = 1,
-) -> CalibrationResult:
-    """Fit the proportionality constant estimate/predicted over a flow family.
-
-    ``predicted`` holds the closed-form values the estimates should be
-    proportional to (Calabi values, signature moments, ...).  The constant
-    is the mean ratio; the spread is the worst relative deviation from it,
-    which the proportionality theorems say should sit inside Monte Carlo
-    noise.
-    """
-    if len(flows) < 2 or len(flows) != len(predicted):
-        raise InputError("need >= 2 flows with matching predicted values")
-    if any(p == 0 for p in predicted):
-        raise InputError("predicted values must be nonzero")
-    estimate = (
-        estimate_phi_n if k_schedule is None else partial(estimate_phi_tilde_n, k_schedule=k_schedule)
-    )
-    estimates = [estimate(flow, phi, n, samples=samples, seed=seed, threads=threads) for flow in flows]
-    ratios = tuple(est.value / float(p) for est, p in zip(estimates, predicted))
-    constant = sum(ratios) / len(ratios)
-    if constant == 0:
-        spread = max(abs(r) for r in ratios)
-    else:
-        spread = max(abs(r - constant) for r in ratios) / abs(constant)
-    return CalibrationResult(constant, spread, ratios, tuple(estimates))

@@ -31,8 +31,6 @@ from .braids import BraidWord, make_word, power, representative_length
 from .errors import InputError
 from .estimator import (
     TASK_EXPERIMENT,
-    CalibrationResult,
-    calibrate_constant,
     chunk_rng,
     config_loops,
     estimate_phi_tilde_n,
@@ -46,7 +44,7 @@ from .flows import (
     make_flow,
     signature_response,
 )
-from .loops import winding_length
+from .loops import TrajectoryBundle, winding_length
 from .poly import divide_linear, evaluate
 from .profiles import RadialProfile, make_hs_profile, polynomial_bump
 from .quasimorphisms import (
@@ -99,11 +97,11 @@ def check_crossing_bound(
     configs = np.concatenate(
         [sample_configs(chunk_rng(seed, TASK_EXPERIMENT, trial), 1, n) for trial in range(trials)]
     )
-    margins = [
-        2.0 * sum(winding_length(bundle, i, j) + 4.0 for i, j in itertools.combinations(range(n), 2))
-        - representative_length(word)
-        for bundle, word in config_loops(flow, configs)
-    ]
+    margins = []
+    for times, loop, word in config_loops(flow, configs):
+        bundle = TrajectoryBundle(times, loop)
+        windings = sum(winding_length(bundle, i, j) + 4.0 for i, j in itertools.combinations(range(n), 2))
+        margins.append(2.0 * windings - representative_length(word))
     worst = min(margins, default=math.nan)
     return Report(
         "crossing_bound",
@@ -459,34 +457,39 @@ def check_calabi_proportionality(
 
     The time-one flow of every compactly supported profile should give the
     same ratio estimate/Calabi; each ratio must sit within 3 combined
-    standard errors of the family mean.
+    standard errors of the family mean.  The details report that mean as
+    ``constant`` and the worst relative deviation from it as ``spread``.
+    InputError for fewer than two profiles or a zero Calabi value.
     """
     flows = [make_flow([(h, 1)]) for h in profiles]
     predicted = [calabi(f) for f in flows]
-    result: CalibrationResult = calibrate_constant(
-        flows,
-        linking_quasimorphism(1, 2),
-        2,
-        predicted,
-        samples=samples,
-        seed=seed,
-        k_schedule=k_schedule,
-        threads=threads,
-    )
-    ratio_sigmas = [
-        est.std_error / abs(pred) for est, pred in zip(result.estimates, predicted)
+    if len(flows) < 2:
+        raise InputError("need at least two profiles")
+    if 0 in predicted:
+        raise InputError("every profile needs a nonzero Calabi value")
+    estimates = [
+        estimate_phi_tilde_n(
+            f, linking_quasimorphism(1, 2), 2, samples=samples, seed=seed, k_schedule=k_schedule, threads=threads
+        )
+        for f in flows
     ]
-    margin = min(_ratio_margins(result.ratios, ratio_sigmas)[1])
+    ratios = [est.value / pred for est, pred in zip(estimates, predicted)]
+    constant, margins = _ratio_margins(ratios, [est.std_error / abs(pred) for est, pred in zip(estimates, predicted)])
+    if constant == 0:
+        spread = max(abs(r) for r in ratios)
+    else:
+        spread = max(abs(r - constant) for r in ratios) / abs(constant)
+    margin = min(margins)
     return Report(
         "calabi_proportionality",
         margin >= 0.0,
         margin,
         {
-            "constant": result.constant,
-            "spread": result.spread,
-            "ratios": list(result.ratios),
+            "constant": constant,
+            "spread": spread,
+            "ratios": ratios,
             "predicted": predicted,
-            "estimates": [e.to_dict() for e in result.estimates],
+            "estimates": [e.to_dict() for e in estimates],
         },
         seed,
     )

@@ -353,7 +353,7 @@ def flow_to_json(spec: FlowSpec) -> str:
     return json.dumps({"terms": terms}, indent=2)
 
 
-def flow_from_json(text: str, validate: bool | None = None) -> FlowSpec:
+def flow_from_json(text: str) -> FlowSpec:
     """Read a flow document; ``{"unchecked": true}`` skips the support check."""
     try:
         doc = json.loads(text)
@@ -366,6 +366,4 @@ def flow_from_json(text: str, validate: bool | None = None) -> FlowSpec:
         unchecked = bool(doc.get("unchecked", False))
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise InputError(f"malformed flow document: {exc}") from exc
-    if validate is None:
-        validate = not unchecked
-    return make_flow(terms, validate=validate)
+    return make_flow(terms, validate=not unchecked)

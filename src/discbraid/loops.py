@@ -101,14 +101,14 @@ def closest_pair(points) -> tuple[float, int, int]:
     of a sampled pair test COINCIDENCE_THRESHOLD against it; ``loop_winding``
     measures its own leg and orbit distances.
     """
+    points = np.asarray(points, dtype=float)
     best = (math.inf, -1, -1)
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            rel = points[i] - points[j]
-            d = np.hypot(rel[..., 0], rel[..., 1])
-            d = float(d.min() if d.ndim else d)  # skip the slow scalar reduction
-            if d < best[0]:
-                best = (d, i, j)
+    for i in range(len(points) - 1):  # one row of pairs (i, j > i) at a time
+        rel = points[i] - points[i + 1 :]
+        d = np.hypot(rel[..., 0], rel[..., 1]).reshape(len(rel), -1).min(axis=1)
+        k = int(np.argmin(d))
+        if d[k] < best[0]:
+            best = (float(d[k]), i, i + 1 + k)
     return best
 
 
@@ -128,6 +128,14 @@ def loop_samples(flow: FlowSpec, n: int, samples_per_segment: int | None = None)
     return m
 
 
+def _base_and_configs(base, configs):
+    z = np.asarray(base, dtype=float)
+    x = np.asarray(configs, dtype=float)
+    if z.ndim != 2 or z.shape[1] != 2 or x.ndim != 3 or x.shape[1:] != z.shape:
+        raise InputError("base must be (n, 2) and configs (count, n, 2)")
+    return z, x
+
+
 def gg_loops(base, starts, flow: FlowSpec, samples_per_segment: int | None = None):
     """The loops of the (count, n, 2) start configurations x around the
     base z, one batch at a time.
@@ -141,10 +149,7 @@ def gg_loops(base, starts, flow: FlowSpec, samples_per_segment: int | None = Non
     here: ``gg_loop`` checks one configuration and ``coincidence_free``
     screens many.
     """
-    z = np.asarray(base, dtype=float)
-    x = np.asarray(starts, dtype=float)
-    if z.ndim != 2 or z.shape[1] != 2 or x.ndim != 3 or x.shape[1:] != z.shape:
-        raise InputError("base must be (n, 2) and starts (count, n, 2)")
+    z, x = _base_and_configs(base, starts)
     n = z.shape[0]
     m = loop_samples(flow, n, samples_per_segment)
 
@@ -189,14 +194,6 @@ def _segment_distance(a, b):
     den = np.abs(d) ** 2
     t = np.divide(-(a * d.conj()).real, den, out=np.zeros_like(den), where=den > 0)
     return np.abs(a + np.clip(t, 0.0, 1.0) * d)
-
-
-def _base_and_configs(base, configs):
-    z = np.asarray(base, dtype=float)
-    x = np.asarray(configs, dtype=float)
-    if z.ndim != 2 or z.shape[1] != 2 or x.ndim != 3 or x.shape[1:] != z.shape:
-        raise InputError("base must be (n, 2) and configs (count, n, 2)")
-    return z, x
 
 
 def _polar(flow: FlowSpec, points):

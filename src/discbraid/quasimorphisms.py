@@ -29,6 +29,8 @@ __all__ = [
     "signature_quasimorphism",
 ]
 
+LENGTH_CAP = 4096  # longest freely reduced power ``homogenize`` evaluates
+
 
 @dataclass(frozen=True)
 class QuasimorphismSpec:
@@ -57,16 +59,11 @@ class HomogenizedValue:
     evaluations: tuple[tuple[int, Fraction], ...] = field(default=())
 
 
-def homogenize(
-    phi: QuasimorphismSpec,
-    a: BraidWord,
-    k_max: int,
-    length_cap: int = 4096,
-) -> HomogenizedValue:
+def homogenize(phi: QuasimorphismSpec, a: BraidWord, k_max: int) -> HomogenizedValue:
     """Estimate the homogenization lim phi(a^k)/k.
 
     Walks k through 1, 2, 4, ... up to ``k_max`` (or until the freely reduced
-    word length would exceed ``length_cap``).  If the first two ratios agree
+    word length would exceed LENGTH_CAP).  If the first two ratios agree
     exactly, phi already behaves as a homomorphism on this element and the
     value is returned at k_used = 1.  Otherwise consecutive slopes
     (phi(a^{2k}) - phi(a^k)) / k are compared and the walk stops once two
@@ -86,7 +83,7 @@ def homogenize(
     values: list[tuple[int, Fraction]] = []
     word_k = free_reduce(a)
     for k in ks:  # a^k from the reduced a^(k/2), so a freely trivial word never grows
-        if values and len(word_k := free_reduce(power(word_k, 2))) > length_cap:
+        if values and len(word_k := free_reduce(power(word_k, 2))) > LENGTH_CAP:
             break
         values.append((k, Fraction(phi(word_k))))
     if len(values) >= 2:

@@ -12,13 +12,12 @@ from discbraid.braids import cyclic_reduce, linking_number
 from discbraid.errors import DegeneracyError, InputError
 from discbraid.estimator import (
     QmEstimate,
-    calibrate_constant,
     chunk_rng,
     default_base,
     estimate_phi_n,
     estimate_phi_tilde_n,
 )
-from discbraid.flows import calabi, make_flow, signature_response
+from discbraid.flows import make_flow, signature_response
 from discbraid.loops import COINCIDENCE_THRESHOLD, gg_loop, loop_braid, loop_winding
 from discbraid.profiles import make_hs_profile, polynomial_bump, rotation_profile
 from discbraid.quasimorphisms import linking_quasimorphism, signature_quasimorphism
@@ -212,10 +211,10 @@ class TestLoopWinding:
         kept = configs[~undefined]
         loops = list(est_mod.config_loops(flow, configs))
         assert len(loops) == len(kept)
-        for (bundle, word), config in zip(loops, kept):
+        for (times, loop, word), config in zip(loops, kept):
             alone = gg_loop(base, config, flow)
-            assert np.array_equal(bundle.times, alone.times)
-            assert np.array_equal(bundle.positions, alone.positions)
+            assert np.array_equal(times, alone.times)
+            assert np.array_equal(loop, alone.positions)
             assert word == loop_braid(alone)
 
     def test_config_loops_batches_keep_the_bytes(self, monkeypatch):
@@ -223,8 +222,8 @@ class TestLoopWinding:
         configs = est_mod.sample_configs(chunk_rng(8, est_mod.TASK_PHI, 0), 40, 3)
         whole = list(est_mod.config_loops(flow, configs))
         monkeypatch.setattr(loops_mod, "LOOP_BATCH_POSITIONS", 1)  # one loop per batch
-        for (a, word_a), (b, word_b) in zip(whole, est_mod.config_loops(flow, configs), strict=True):
-            assert np.array_equal(a.positions, b.positions) and word_a == word_b
+        for (_, a, word_a), (_, b, word_b) in zip(whole, est_mod.config_loops(flow, configs), strict=True):
+            assert np.array_equal(a, b) and word_a == word_b
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize(
@@ -234,7 +233,7 @@ class TestLoopWinding:
     def test_signature_of_cyclic_word(self, flow, n):
         # 200 configurations per case, 2000 over the ten cases
         configs = est_mod.sample_configs(chunk_rng(12, est_mod.TASK_PHI, n), 200, n)
-        words = [word for _bundle, word in est_mod.config_loops(flow, configs)]
+        words = [word for _times, _loop, word in est_mod.config_loops(flow, configs)]
         assert len(words) > 150
         assert any(cyclic_reduce(w) != w for w in words)
         for word in words:
@@ -339,53 +338,6 @@ class TestSignatureOracle:
             flow, signature_quasimorphism(), 3, samples=2000, k_schedule=(1, 2), seed=11
         )
         assert abs(est.value - exact) <= 3 * est.std_error
-
-
-class TestCalibrate:
-    def test_duplicated_flow_zero_spread(self):
-        flow = bump_flow()
-        pred = calabi(flow)
-        result = calibrate_constant([flow, flow], LK, 2, [pred, pred], samples=600, seed=3)
-        assert result.spread == 0.0
-
-    def test_zero_predicted_rejected(self):
-        flow = bump_flow()
-        with pytest.raises(InputError):
-            calibrate_constant([flow, flow], LK, 2, [0.0, 1.0], samples=10)
-
-    def test_needs_two_flows(self):
-        with pytest.raises(InputError):
-            calibrate_constant([bump_flow()], LK, 2, [1.0], samples=10)
-
-    def test_calabi_ratio_near_minus_one(self):
-        flows = [bump_flow(scale=96), bump_flow(scale=48)]
-        preds = [calabi(f) for f in flows]
-        result = calibrate_constant(
-            flows, LK, 2, preds, samples=4000, seed=21, k_schedule=(4, 8)
-        )
-        assert result.constant == pytest.approx(-1.0, abs=0.1)
-
-    def test_signature_moment_calibration(self):
-        # moment-based calibration for three marked points over Calabi-zero
-        # flows: one constant fits every flow (its sign is tied to the
-        # crossing convention; the magnitude is the invariant content)
-        sig = signature_quasimorphism()
-        profiles = [make_hs_profile(Fraction(1, 4)), make_hs_profile(Fraction(1, 3))]
-        flows = [make_flow([(h, 4)]) for h in profiles]
-        preds = [4 * float(h.moment(1)) for h in profiles]
-        result = calibrate_constant(
-            flows, sig, 3, preds, samples=1500, seed=2, k_schedule=(1, 2)
-        )
-        assert abs(result.constant) > 0
-        assert result.spread < 0.5
-        assert all(r * result.constant > 0 for r in result.ratios)  # one sign
-
-    def test_result_serializes(self):
-        flow = bump_flow()
-        pred = calabi(flow)
-        result = calibrate_constant([flow, flow], LK, 2, [pred, pred], samples=200, seed=1)
-        doc = result.to_dict()
-        assert set(doc) == {"constant", "spread", "ratios", "estimates"}
 
 
 class TestQmEstimate:

@@ -16,6 +16,7 @@ from discbraid import cli
 from discbraid.experiments import (
     Report,
     battery,
+    calabi_profiles,
     check_bilipschitz_disc,
     check_calabi_proportionality,
     check_crossing_bound,
@@ -192,6 +193,40 @@ class TestMonteCarloChecks:
         rep = check_calabi_proportionality(profiles, samples=64, seed=2, k_schedule=(1, 2))
         assert len(rep.details["ratios"]) == len(rep.details["predicted"]) == 4
         assert len(rep.details["estimates"]) == 4
+
+    def test_calabi_proportionality_needs_two_profiles(self):
+        with pytest.raises(InputError):
+            check_calabi_proportionality(THREE_PROFILES[:1], samples=10)
+
+    def test_calabi_proportionality_rejects_a_zero_calabi_profile(self):
+        with pytest.raises(InputError):
+            check_calabi_proportionality([THREE_PROFILES[0], make_hs_profile(Fraction(1, 4))], samples=10)
+
+    def test_calabi_proportionality_duplicated_profile_zero_spread(self):
+        rep = check_calabi_proportionality(THREE_PROFILES[1:2] * 2, samples=600, seed=3, k_schedule=(1, 2))
+        assert rep.details["spread"] == 0.0
+        assert rep.details["ratios"][0] == rep.details["ratios"][1] == rep.details["constant"]
+
+    def test_calibrate_constants_script(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "calibrate_constants.py"), "--samples", "200", "--seed", "5"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        d = check_calabi_proportionality(calabi_profiles(), samples=200, seed=5, k_schedule=(4, 8)).details
+        assert lines[:5] == [
+            "2-strand estimate / Calabi:",
+            f"  constant = {d['constant']:+.5f}   spread = {d['spread']:.2%}",
+            *(f"  ratio {r:+.5f}  (value {e['value']:+.5f} +- {e['std_error']:.5f})" for r, e in zip(d["ratios"], d["estimates"])),
+        ]
+        rows = lines[6:]
+        assert len(rows) == 4
+        for row in rows:
+            exact, z = row.split("exact ")[1].split("  z = ")
+            assert math.isfinite(float(exact)) and math.isfinite(float(z))
 
     def test_lipschitz_small(self):
         # a quick, low-sample pass over the machinery; the acceptance suite

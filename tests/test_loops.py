@@ -243,7 +243,20 @@ class TestExtraction:
 
 
 # The per-column walk that read braids before the batched kernel, kept
-# verbatim as the reference the kernel must reproduce letter for letter.
+# verbatim as the reference the kernel must reproduce letter for letter,
+# and the pair walk that ``closest_pair`` replaced by one row at a time.
+
+def walk_closest_pair(points) -> tuple[float, int, int]:
+    best = (math.inf, -1, -1)
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            rel = points[i] - points[j]
+            d = np.hypot(rel[..., 0], rel[..., 1])
+            d = float(d.min() if d.ndim else d)
+            if d < best[0]:
+                best = (d, i, j)
+    return best
+
 
 def walk_extract_braid(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidWord:
     """Read the braid word of the bundle along a projection direction.
@@ -256,7 +269,7 @@ def walk_extract_braid(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidW
     dx, dy = perturb_direction(direction, 0)
     pos = bundle.positions
     n = pos.shape[0]
-    if closest_pair(pos)[0] < COINCIDENCE_THRESHOLD:
+    if walk_closest_pair(pos)[0] < COINCIDENCE_THRESHOLD:
         raise DegenerateConfigurationError("strands pass within coincidence threshold")
 
     proj = pos[..., 0] * dx + pos[..., 1] * dy  # (n, T)
@@ -493,6 +506,16 @@ class TestKernelMatchesWalk:
         assert [batch_outcome(w) for w in words] == expected
         assert expected[1] == ("crossing with coincident strands", 0.0)
         assert all(isinstance(letter, int) for letter in expected[0] + expected[2])
+
+
+class TestClosestPair:
+    @pytest.mark.parametrize("shape", [(), (5,)], ids=["points", "strands"])
+    def test_matches_the_pair_walk(self, shape):
+        # coordinates on a coarse grid, so equal distances and first-pair ties are common
+        rng = np.random.default_rng(len(shape))
+        for n in [0, 1, 2] * 5 + list(range(3, 12)) * 30:
+            points = rng.integers(-3, 4, size=(n, *shape, 2)) / 4.0
+            assert closest_pair(points) == walk_closest_pair(points)
 
 
 class TestWinding:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import discbraid.quasimorphisms as qm_mod
 from discbraid.braids import is_pure, make_word, power
 from discbraid.errors import InputError
 from discbraid.quasimorphisms import (
@@ -50,21 +51,23 @@ class TestHomogenize:
             hm = homogenize(sig, power(base, m), 64)
             assert abs(hm.value - m * h1.value) <= hm.error_bound + m * h1.error_bound
 
-    def test_single_slope_bound_is_unknown(self):
+    def test_single_slope_bound_is_unknown(self, monkeypatch):
         sig = signature_quasimorphism()
         hom = homogenize(sig, make_word([1, 1, 2], 3), 2)
         assert hom.value == Fraction(-3)
         assert hom.error_bound is None
         # a^2 over the length cap: phi(a) alone, no slope at all
-        hom = homogenize(sig, make_word([1, 2] * 20, 3), 256, length_cap=50)
+        monkeypatch.setattr(qm_mod, "LENGTH_CAP", 50)
+        hom = homogenize(sig, make_word([1, 2] * 20, 3), 256)
         assert hom.k_used == 1 and hom.error_bound is None
         # a declared defect still bounds the error
-        hom = homogenize(linking_quasimorphism(), make_word([1] * 40, 2), 256, length_cap=50)
+        hom = homogenize(linking_quasimorphism(), make_word([1] * 40, 2), 256)
         assert hom.error_bound == 0
 
-    def test_length_cap_stops_growth(self):
+    def test_length_cap_stops_growth(self, monkeypatch):
         sig = signature_quasimorphism()
-        hom = homogenize(sig, make_word([1, 1], 2), 1 << 20, length_cap=64)
+        monkeypatch.setattr(qm_mod, "LENGTH_CAP", 64)
+        hom = homogenize(sig, make_word([1, 1], 2), 1 << 20)
         assert hom.k_used <= 32
         assert hom.value == Fraction(-2)  # slope already exact long before the cap
 
