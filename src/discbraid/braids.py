@@ -108,24 +108,28 @@ def power(a: BraidWord, k: int) -> BraidWord:
     return BraidWord(a.strands, a.inverse().letters * (-k))
 
 
-def free_reduce(a: BraidWord) -> BraidWord:
+def _freely_reduced(letters: tuple[int, ...]) -> list[int]:
     stack: list[int] = []
-    for letter in a.letters:
+    for letter in letters:
         if stack and stack[-1] == -letter:
             stack.pop()
         else:
             stack.append(letter)
-    return BraidWord(a.strands, tuple(stack))
+    return stack
+
+
+def free_reduce(a: BraidWord) -> BraidWord:
+    return BraidWord(a.strands, tuple(_freely_reduced(a.letters)))
 
 
 def cyclic_reduce(a: BraidWord) -> BraidWord:
     """Free reduction, then the end pairs (l, -l) stripped: a conjugate of
     ``a`` with the same closure, freely and cyclically reduced."""
-    letters = free_reduce(a).letters
+    letters = _freely_reduced(a.letters)
     lo, hi = 0, len(letters)
     while hi - lo >= 2 and letters[lo] == -letters[hi - 1]:
         lo, hi = lo + 1, hi - 1
-    return BraidWord(a.strands, letters[lo:hi])
+    return BraidWord(a.strands, tuple(letters[lo:hi]))
 
 
 def representative_length(a: BraidWord) -> int:

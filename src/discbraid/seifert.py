@@ -11,18 +11,34 @@ standard (2,m) torus-link values).
 
 Signatures are computed by exact integer fraction-free elimination;
 floating-point inertia is not trusted anywhere near a zero eigenvalue.
+
+``braid_signature`` computes each conjugacy class once per process.  The
+closure of a braid is unchanged by conjugation, and cyclic reduction and
+rotation of a word are conjugations, so a word's class key is the least
+rotation of its cyclic reduction, on the same strand count.  The key is
+found from the rotations starting at an occurrence of the least letter,
+the only ones that can be least.  ``class_signature`` keeps the
+``SIGNATURE_CACHE`` most recently used keys, so the cache stays bounded
+however long the process runs.  A reduced word of more than
+``SIGNATURE_CACHE_LETTERS`` letters skips it: its rotations cost O(L^2) in
+its length L, and ``homogenize`` evaluates powers of up to 4096 letters,
+4096 keys of which would hold about 130 MB.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
-from .braids import BraidWord
+from .braids import BraidWord, cyclic_reduce
 from .errors import InputError
 
-__all__ = ["SeifertMatrix", "seifert_matrix", "matrix_signature", "braid_signature"]
+__all__ = ["SeifertMatrix", "seifert_matrix", "matrix_signature", "braid_signature", "class_signature"]
+
+SIGNATURE_CACHE = 2**12  # conjugacy classes whose signature a process keeps
+SIGNATURE_CACHE_LETTERS = 64  # longest cyclically reduced word that is cached
 
 
 @dataclass(frozen=True)
@@ -175,6 +191,20 @@ def matrix_signature(rows) -> int:
     return signature
 
 
+@lru_cache(maxsize=SIGNATURE_CACHE)
+def class_signature(strands: int, letters: tuple[int, ...]) -> int:
+    """Signature of the closure of the word ``letters`` on ``strands`` strands;
+    ``braid_signature`` passes the class key of a word."""
+    return matrix_signature(seifert_matrix(BraidWord(strands, letters)).symmetrized())
+
+
 def braid_signature(a: BraidWord) -> int:
-    """Signature of the closure link of ``a``."""
-    return matrix_signature(seifert_matrix(a).symmetrized())
+    """Signature of the closure link of ``a``, once per conjugacy class key."""
+    reduced = cyclic_reduce(a)
+    letters = reduced.letters
+    if len(letters) > SIGNATURE_CACHE_LETTERS:
+        return matrix_signature(seifert_matrix(reduced).symmetrized())
+    if letters:
+        least = min(letters)
+        letters = min(letters[i:] + letters[:i] for i, x in enumerate(letters) if x == least)
+    return class_signature(a.strands, letters)

@@ -21,7 +21,7 @@ from discbraid.flows import make_flow, signature_response
 from discbraid.loops import COINCIDENCE_THRESHOLD, gg_loop, loop_braid, loop_winding
 from discbraid.profiles import make_hs_profile, polynomial_bump, rotation_profile
 from discbraid.quasimorphisms import linking_quasimorphism, signature_quasimorphism
-from discbraid.seifert import braid_signature
+from discbraid.seifert import braid_signature, class_signature, matrix_signature, seifert_matrix
 
 LK = linking_quasimorphism(1, 2)
 
@@ -69,14 +69,42 @@ class TestEstimatePhi:
 
     def test_signature_bytes_across_threads(self):
         # three chunks of a two-term flow with a negative time, so chunks
-        # evaluate repeated cyclic words in different worker processes
+        # evaluate repeated conjugacy classes in different worker processes;
+        # the bytes do not depend on what the class cache already holds
         flow = TestLoopWinding.MULTI
         sig = signature_quasimorphism()
-        a, b = (
-            estimate_phi_tilde_n(flow, sig, 3, samples=1100, k_schedule=(1, 2), seed=4, threads=t).to_dict()
-            for t in (1, 2)
-        )
-        assert json.dumps(a) == json.dumps(b)  # floats print as their shortest exact repr
+
+        def estimate(threads):
+            return json.dumps(  # floats print as their shortest exact repr
+                estimate_phi_tilde_n(flow, sig, 3, samples=1100, k_schedule=(1, 2), seed=4, threads=threads).to_dict()
+            )
+
+        class_signature.cache_clear()
+        cold = estimate(1)
+        assert class_signature.cache_info().currsize > 0
+        warm = estimate(1)
+        class_signature.cache_clear()
+        assert cold == warm == estimate(2)
+
+    def test_one_pool_per_k_schedule(self, monkeypatch):
+        pools = []
+
+        class CountedPool(est_mod.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(est_mod, "ProcessPoolExecutor", CountedPool)
+        flow = bump_flow(t=4)
+        sig = signature_quasimorphism()
+        estimate_phi_tilde_n(flow, sig, 3, samples=600, k_schedule=(1, 2, 4), seed=3, threads=2)
+        assert len(pools) == 1
+        estimate_phi_n(flow, sig, 3, samples=600, seed=3, threads=2)
+        assert len(pools) == 2
+        # one chunk, or a linking spec, runs here
+        estimate_phi_tilde_n(flow, sig, 3, samples=500, k_schedule=(1, 2), seed=3, threads=2)
+        estimate_phi_tilde_n(flow, LK, 2, samples=600, k_schedule=(1, 2), seed=3, threads=2)
+        assert len(pools) == 2
 
     def test_unresolvable_rotation_rejected_before_sampling(self, monkeypatch):
         def no_sampling(*args):
@@ -231,13 +259,14 @@ class TestLoopWinding:
         ids=["t1", "t4", "t16", "t-8", "multi-negative"],
     )
     def test_signature_of_cyclic_word(self, flow, n):
-        # 200 configurations per case, 2000 over the ten cases
+        # 200 configurations per case, 2000 over the ten cases; the cached
+        # class signature against the uncached kernel of the unreduced word
         configs = est_mod.sample_configs(chunk_rng(12, est_mod.TASK_PHI, n), 200, n)
         words = [word for _times, _loop, word in est_mod.config_loops(flow, configs)]
         assert len(words) > 150
         assert any(cyclic_reduce(w) != w for w in words)
         for word in words:
-            assert braid_signature(cyclic_reduce(word)) == braid_signature(word)
+            assert braid_signature(word) == matrix_signature(seifert_matrix(word).symmetrized())
 
     @pytest.mark.parametrize("gap", [4e-10, 4e-9])
     def test_orbit_approach_rejected_below_threshold(self, gap):

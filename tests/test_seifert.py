@@ -1,20 +1,47 @@
 import random
+import time
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discbraid.braids import BraidWord, concat, free_reduce, make_word, power
+import discbraid.seifert as seifert_mod
+from discbraid.braids import BraidWord, concat, cyclic_reduce, free_reduce, make_word, power
 from discbraid.errors import InputError
-from discbraid.seifert import braid_signature, matrix_signature, seifert_matrix
+from discbraid.seifert import (
+    SIGNATURE_CACHE,
+    SIGNATURE_CACHE_LETTERS,
+    braid_signature,
+    class_signature,
+    matrix_signature,
+    seifert_matrix,
+)
 
 
 def random_word(rng, n, length):
     return make_word(
         [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(length)], n
     )
+
+
+def reduced_word(rng, n, length):
+    """A freely and cyclically reduced random word of exactly ``length`` letters."""
+    while True:
+        letters = []
+        while len(letters) < length:
+            letter = rng.choice([1, -1]) * rng.randint(1, n - 1)
+            if not letters or letter != -letters[-1]:
+                letters.append(letter)
+        if length < 2 or letters[0] != -letters[-1]:
+            return make_word(letters, n)
+
+
+def kernel_signature(w):
+    """The closure signature of the raw word, bypassing the class cache."""
+    return matrix_signature(seifert_matrix(w).symmetrized())
 
 
 def fraction_gauss_signature(rows) -> int:
@@ -199,12 +226,14 @@ class TestBraidSignature:
                 w = make_word([1] * k1 + [2] * k2, 3)
                 assert braid_signature(w) == -(k1 - 1) - (k2 - 1)
 
+    # The invariance battery runs on the kernel of the raw words: the cached
+    # braid_signature gives both sides of these identities one class key.
     def test_free_reduction_invariance(self):
         rng = random.Random(11)
         for _ in range(60):
             n = rng.choice([2, 3, 4])
             w = random_word(rng, n, rng.randint(0, 10))
-            assert braid_signature(free_reduce(w)) == braid_signature(w)
+            assert kernel_signature(free_reduce(w)) == kernel_signature(w)
 
     def test_conjugation_invariance(self):
         rng = random.Random(13)
@@ -213,7 +242,7 @@ class TestBraidSignature:
             a = random_word(rng, n, rng.randint(0, 10))
             w = random_word(rng, n, rng.randint(1, 6))
             conj = concat(concat(w, a), w.inverse())
-            assert braid_signature(conj) == braid_signature(a)
+            assert kernel_signature(conj) == kernel_signature(a)
 
     def test_markov_stabilization(self):
         rng = random.Random(17)
@@ -223,14 +252,14 @@ class TestBraidSignature:
             wide = BraidWord(n + 1, a.letters)
             for s in (1, -1):
                 stab = concat(wide, make_word([s * n], n + 1))
-                assert braid_signature(stab) == braid_signature(a)
+                assert kernel_signature(stab) == kernel_signature(a)
 
     def test_mirror_antisymmetry(self):
         rng = random.Random(19)
         for _ in range(60):
             n = rng.choice([2, 3, 4])
             w = random_word(rng, n, rng.randint(0, 10))
-            assert braid_signature(w.mirror()) == -braid_signature(w)
+            assert kernel_signature(w.mirror()) == -kernel_signature(w)
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
@@ -243,3 +272,54 @@ class TestBraidSignature:
         w = make_word(letters, 3)
         expected = fraction_gauss_signature(seifert_matrix(w).symmetrized())
         assert braid_signature(w) == expected
+
+
+class TestSignatureCache:
+    def test_class_key_matches_the_kernel(self):
+        # raw random words (mostly under the letter cap) and reduced words on
+        # both sides of it; every rotation and the cyclic reduction of a word
+        # are conjugates, so each must give the kernel's value of the raw word
+        rng = random.Random(23)
+        words = [random_word(rng, rng.randint(2, 5), rng.randint(0, 80)) for _ in range(60)]
+        cap = SIGNATURE_CACHE_LETTERS
+        words += [reduced_word(rng, n, length) for n in (2, 5) for length in (cap, cap + 1)]
+        reduced_lengths = set()
+        for w in words:
+            expected = kernel_signature(w)
+            reduced = cyclic_reduce(w)
+            reduced_lengths.add(len(reduced))
+            assert braid_signature(w) == braid_signature(reduced) == expected
+            for i in range(len(w)):
+                rotation = BraidWord(w.strands, w.letters[i:] + w.letters[:i])
+                assert braid_signature(rotation) == expected
+        assert min(reduced_lengths) == 0 and {cap, cap + 1} <= reduced_lengths
+
+    def test_conjugates_share_one_entry(self):
+        rng = random.Random(31)
+        a = reduced_word(rng, 4, 12)
+        conjugates = [concat(concat(w, a), w.inverse()) for w in (random_word(rng, 4, 5) for _ in range(20))]
+        conjugates += [BraidWord(4, a.letters[i:] + a.letters[:i]) for i in range(len(a))]
+        class_signature.cache_clear()
+        assert {braid_signature(w) for w in conjugates} == {kernel_signature(a)}
+        assert class_signature.cache_info().misses == 1
+
+    def test_long_words_skip_the_cache(self):
+        # sigma_1 sigma_2^-1 ... on 5001 strands: an unknot with an empty
+        # Seifert matrix, so the kernel is instant and only the key could cost
+        class_signature.cache_clear()
+        w = make_word([i if i % 2 else -i for i in range(1, 5001)], 5001)
+        start = time.perf_counter()
+        assert braid_signature(w) == 0
+        assert time.perf_counter() - start < 2.0
+        assert class_signature.cache_info().currsize == 0
+
+    def test_cache_stays_bounded(self, monkeypatch):
+        assert class_signature.cache_info().maxsize == SIGNATURE_CACHE
+        small = lru_cache(maxsize=8)(class_signature.__wrapped__)
+        monkeypatch.setattr(seifert_mod, "class_signature", small)
+        rng = random.Random(29)
+        for _ in range(60):
+            w = random_word(rng, 4, rng.randint(0, 20))
+            assert braid_signature(w) == kernel_signature(w)
+            assert small.cache_info().currsize <= 8
+        assert small.cache_info().currsize == 8
