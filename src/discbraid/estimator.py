@@ -15,8 +15,7 @@ second, sampled screen: the kept loops have none to find), and
 ``seifert.braid_signature`` evaluates the signature once per conjugacy
 class per process, in a bounded cache (it is a class function:
 conjugation leaves the closure unchanged).  It alone uses worker
-processes, one pool for a whole k-schedule, so the workers keep their
-caches across k.  Both reject a pair (lk: the linked one) whose
+processes.  Both reject a pair (lk: the linked one) whose
 ``loop_winding`` is undefined: it passes through the other along the loop.
 
 Every loop runs around ``default_base``.  The homogenized values do not
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Sequence
@@ -180,38 +178,20 @@ def estimate_phi_n(
     accepted-sample mean scaled by pi^n; ``threads`` workers share
     the chunks of a spec with no closed form.
     """
-    with _worker_pool(phi, samples, threads) as pool:
-        return _estimate(flow, phi, n, samples, seed, pool)
-
-
-def _worker_pool(phi: QuasimorphismSpec, samples: int, threads: int):
-    """``threads`` worker processes for a spec with no closed form and more
-    than one chunk, else a context giving None.  The pool starts its workers
-    only when it is given a chunk, so a bad argument costs no process."""
-    if threads > 1 and phi.strands is None and samples > CHUNK_SAMPLES:
-        return ProcessPoolExecutor(max_workers=threads)
-    return nullcontext()
-
-
-def _estimate(
-    flow: FlowSpec,
-    phi: QuasimorphismSpec,
-    n: int,
-    samples: int,
-    seed: int,
-    pool: ProcessPoolExecutor | None,
-) -> QmEstimate:
-    """``estimate_phi_n``, its chunks on ``pool``, or here when that is None."""
     if not 2 <= n <= MAX_LOOP_POSITIONS // CHUNK_SAMPLES:  # a chunk holds at most a loop's positions
         raise InputError(f"need 2 to {MAX_LOOP_POSITIONS // CHUNK_SAMPLES} marked points, got {n}")
     if not 1 <= samples <= MAX_SAMPLES:
         raise InputError(f"need 1 to {MAX_SAMPLES} samples, got {samples}")
-    _linking_pair(phi, n)
+    pair = _linking_pair(phi, n)
     _check_size(flow, phi, n)
 
     counts = [min(CHUNK_SAMPLES, samples - start) for start in range(0, samples, CHUNK_SAMPLES)]
     chunk = partial(_phi_chunk, flow, phi, n, seed)
-    results = list((pool.map if pool else map)(chunk, range(len(counts)), counts))
+    if threads > 1 and pair is None and len(counts) > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(chunk, range(len(counts)), counts))
+    else:
+        results = list(map(chunk, range(len(counts)), counts))
 
     total = total_sq = 0.0
     accepted = rejected = 0
@@ -259,8 +239,10 @@ def estimate_phi_tilde_n(
     if not ks or any(k <= 0 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
         raise InputError("k_schedule must be increasing positive integers")
     _check_size(flow.scaled(ks[-1]), phi, n)  # the largest k turns fastest; fail before sampling
-    with _worker_pool(phi, samples, threads) as pool:
-        per_k = [_estimate(flow.scaled(k), phi, n, samples, seed, pool) for k in ks]
+    per_k = [
+        estimate_phi_n(flow.scaled(k), phi, n, samples=samples, seed=seed, threads=threads)
+        for k in ks
+    ]
     values = [est.value / k for est, k in zip(per_k, ks)]
     cauchy = abs(values[-1] - values[-2]) if len(ks) >= 2 else 0.0
     last = per_k[-1]

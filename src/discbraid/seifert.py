@@ -19,10 +19,8 @@ rotation of its cyclic reduction, on the same strand count.  The key is
 found from the rotations starting at an occurrence of the least letter,
 the only ones that can be least.  ``class_signature`` keeps the
 ``SIGNATURE_CACHE`` most recently used keys, so the cache stays bounded
-however long the process runs.  A reduced word of more than
-``SIGNATURE_CACHE_LETTERS`` letters skips it: its rotations cost O(L^2) in
-its length L, and ``homogenize`` evaluates powers of up to 4096 letters,
-4096 keys of which would hold about 130 MB.
+however long the process runs.  The key of an L-letter word costs O(L)
+for each occurrence of its least letter.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from .errors import InputError
 __all__ = ["SeifertMatrix", "seifert_matrix", "matrix_signature", "braid_signature", "class_signature"]
 
 SIGNATURE_CACHE = 2**12  # conjugacy classes whose signature a process keeps
-SIGNATURE_CACHE_LETTERS = 64  # longest cyclically reduced word that is cached
 
 
 @dataclass(frozen=True)
@@ -200,10 +197,7 @@ def class_signature(strands: int, letters: tuple[int, ...]) -> int:
 
 def braid_signature(a: BraidWord) -> int:
     """Signature of the closure link of ``a``, once per conjugacy class key."""
-    reduced = cyclic_reduce(a)
-    letters = reduced.letters
-    if len(letters) > SIGNATURE_CACHE_LETTERS:
-        return matrix_signature(seifert_matrix(reduced).symmetrized())
+    letters = cyclic_reduce(a).letters
     if letters:
         least = min(letters)
         letters = min(letters[i:] + letters[:i] for i, x in enumerate(letters) if x == least)

@@ -86,26 +86,6 @@ class TestEstimatePhi:
         class_signature.cache_clear()
         assert cold == warm == estimate(2)
 
-    def test_one_pool_per_k_schedule(self, monkeypatch):
-        pools = []
-
-        class CountedPool(est_mod.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(est_mod, "ProcessPoolExecutor", CountedPool)
-        flow = bump_flow(t=4)
-        sig = signature_quasimorphism()
-        estimate_phi_tilde_n(flow, sig, 3, samples=600, k_schedule=(1, 2, 4), seed=3, threads=2)
-        assert len(pools) == 1
-        estimate_phi_n(flow, sig, 3, samples=600, seed=3, threads=2)
-        assert len(pools) == 2
-        # one chunk, or a linking spec, runs here
-        estimate_phi_tilde_n(flow, sig, 3, samples=500, k_schedule=(1, 2), seed=3, threads=2)
-        estimate_phi_tilde_n(flow, LK, 2, samples=600, k_schedule=(1, 2), seed=3, threads=2)
-        assert len(pools) == 2
-
     def test_unresolvable_rotation_rejected_before_sampling(self, monkeypatch):
         def no_sampling(*args):
             raise AssertionError("sampled before the rotation check")

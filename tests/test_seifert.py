@@ -1,5 +1,4 @@
 import random
-import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -11,14 +10,7 @@ from hypothesis import strategies as st
 import discbraid.seifert as seifert_mod
 from discbraid.braids import BraidWord, concat, cyclic_reduce, free_reduce, make_word, power
 from discbraid.errors import InputError
-from discbraid.seifert import (
-    SIGNATURE_CACHE,
-    SIGNATURE_CACHE_LETTERS,
-    braid_signature,
-    class_signature,
-    matrix_signature,
-    seifert_matrix,
-)
+from discbraid.seifert import SIGNATURE_CACHE, braid_signature, class_signature, matrix_signature, seifert_matrix
 
 
 def random_word(rng, n, length):
@@ -276,13 +268,10 @@ class TestBraidSignature:
 
 class TestSignatureCache:
     def test_class_key_matches_the_kernel(self):
-        # raw random words (mostly under the letter cap) and reduced words on
-        # both sides of it; every rotation and the cyclic reduction of a word
-        # are conjugates, so each must give the kernel's value of the raw word
+        # every rotation and the cyclic reduction of a word are conjugates,
+        # so each must give the kernel's value of the raw word
         rng = random.Random(23)
         words = [random_word(rng, rng.randint(2, 5), rng.randint(0, 80)) for _ in range(60)]
-        cap = SIGNATURE_CACHE_LETTERS
-        words += [reduced_word(rng, n, length) for n in (2, 5) for length in (cap, cap + 1)]
         reduced_lengths = set()
         for w in words:
             expected = kernel_signature(w)
@@ -292,7 +281,7 @@ class TestSignatureCache:
             for i in range(len(w)):
                 rotation = BraidWord(w.strands, w.letters[i:] + w.letters[:i])
                 assert braid_signature(rotation) == expected
-        assert min(reduced_lengths) == 0 and {cap, cap + 1} <= reduced_lengths
+        assert min(reduced_lengths) == 0 and max(reduced_lengths) > 40
 
     def test_conjugates_share_one_entry(self):
         rng = random.Random(31)
@@ -302,16 +291,6 @@ class TestSignatureCache:
         class_signature.cache_clear()
         assert {braid_signature(w) for w in conjugates} == {kernel_signature(a)}
         assert class_signature.cache_info().misses == 1
-
-    def test_long_words_skip_the_cache(self):
-        # sigma_1 sigma_2^-1 ... on 5001 strands: an unknot with an empty
-        # Seifert matrix, so the kernel is instant and only the key could cost
-        class_signature.cache_clear()
-        w = make_word([i if i % 2 else -i for i in range(1, 5001)], 5001)
-        start = time.perf_counter()
-        assert braid_signature(w) == 0
-        assert time.perf_counter() - start < 2.0
-        assert class_signature.cache_info().currsize == 0
 
     def test_cache_stays_bounded(self, monkeypatch):
         assert class_signature.cache_info().maxsize == SIGNATURE_CACHE
