@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 from .braids import (
     BraidWord,
-    Permutation,
     concat,
     free_reduce,
     is_pure,
@@ -47,9 +46,7 @@ from .lengths import holder_constant, lp_length_sampled
 from .loops import (
     TrajectoryBundle,
     extract_braid,
-    extract_braid_auto,
     gg_loop,
-    loop_braid,
     perturb_direction,
     signed_winding,
     winding_length,

@@ -19,7 +19,6 @@ from .errors import InputError
 
 __all__ = [
     "BraidWord",
-    "Permutation",
     "make_word",
     "concat",
     "power",
@@ -64,31 +63,6 @@ class BraidWord:
     def mirror(self) -> "BraidWord":
         """Flip every crossing; the closure becomes the mirror link."""
         return BraidWord(self.strands, tuple(-l for l in self.letters))
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection of {1..n}, stored as the tuple of images of 1..n."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise InputError(f"not a permutation of 1..{len(self.images)}: {self.images}")
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(i) = self(other(i))."""
-        return Permutation(tuple(self(other(i)) for i in range(1, len(self.images) + 1)))
-
-    def is_identity(self) -> bool:
-        return all(img == i + 1 for i, img in enumerate(self.images))
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
 
 
 def make_word(letters, n: int) -> BraidWord:
@@ -137,8 +111,9 @@ def representative_length(a: BraidWord) -> int:
     return len(free_reduce(a))
 
 
-def word_permutation(a: BraidWord) -> Permutation:
-    """Permutation sending a strand's start slot to its end slot."""
+def word_permutation(a: BraidWord) -> tuple[int, ...]:
+    """Permutation sending a strand's start slot to its end slot, as the
+    tuple of the 1-based images of slots 1..n."""
     # slots[p] = strand currently occupying slot p (0-based slots).
     slots = list(range(1, a.strands + 1))
     for letter in a.letters:
@@ -147,11 +122,11 @@ def word_permutation(a: BraidWord) -> Permutation:
     images = [0] * a.strands
     for slot_index, strand in enumerate(slots):
         images[strand - 1] = slot_index + 1
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 def is_pure(a: BraidWord) -> bool:
-    return word_permutation(a).is_identity()
+    return word_permutation(a) == tuple(range(1, a.strands + 1))
 
 
 def linking_matrix(a: BraidWord) -> dict[tuple[int, int], int]:

@@ -28,14 +28,7 @@ from .estimator import default_base, estimate_phi_n, estimate_phi_tilde_n
 from .experiments import battery
 from .flows import flow_from_json, lp_length_radial, make_flow, radial_flow_apply
 from .lengths import lp_length_of_bundle, lp_length_sampled
-from .loops import (
-    coincidence_free,
-    extract_braid_auto,
-    gg_loop,
-    loop_braid,
-    read_trajectory_csv,
-    write_trajectory_csv,
-)
+from .loops import coincidence_free, extract_braid, gg_loop, read_trajectory_csv, write_trajectory_csv
 from .profiles import make_hs_profile, profile_from_json, profile_to_json
 from .quasimorphisms import (
     homogenize,
@@ -149,11 +142,7 @@ def cmd_braid_extract(args) -> int:
     if args.emit_trajectory:
         with open(args.emit_trajectory, "w") as fh:
             fh.write(write_trajectory_csv(bundle))
-    word = (
-        loop_braid(bundle, direction)
-        if bundle.is_loop()
-        else extract_braid_auto(bundle, direction)
-    )
+    word = extract_braid(bundle, direction)
     _print_config(args, "braid-extract", source)
     sys.stdout.write(format_braid_text(word))
     return 0

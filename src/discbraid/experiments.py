@@ -6,7 +6,10 @@ intermediate quantity needed to audit the run.  The checks verify
 structure: boundedness of ratios, linearity, sign conditions, and sandwich
 inequalities with empirically fitted constants.  Where exact formulas exist
 (moments, signature responses, even-p speed moments) the comparisons run in
-rational arithmetic; Monte Carlo quantities carry 3-sigma bands.
+rational arithmetic, and the profile sign conditions are certified exactly
+by Bernstein coefficients; Monte Carlo quantities carry 3-sigma bands.  The
+word-length bound takes a true defect, given or declared, never a sampled
+one.
 
 Lower bounds on the group norm are never computed directly (the norm is an
 infimum over isotopies).  The bi-Lipschitz check bounds it below through
@@ -45,12 +48,11 @@ from .flows import (
     signature_response,
 )
 from .loops import TrajectoryBundle, winding_length
-from .poly import divide_linear, evaluate
+from .poly import bernstein
 from .profiles import RadialProfile, make_hs_profile, polynomial_bump
 from .quasimorphisms import (
     QuasimorphismSpec,
     linking_quasimorphism,
-    sample_defect,
     signature_quasimorphism,
 )
 
@@ -116,9 +118,6 @@ def check_crossing_bound(
     )
 
 
-DEFECT_TRIALS = 200  # word pairs drawn for a sampled defect bound
-
-
 def check_word_length_bound(
     phi: QuasimorphismSpec,
     generator_values: Sequence[Fraction],
@@ -128,21 +127,15 @@ def check_word_length_bound(
 ) -> Report:
     """|phi| <= (defect + max generator value) * reduced length over a corpus.
 
-    The defect is the declared bound if available, the supplied value, or a
-    sampled lower bound from DEFECT_TRIALS pairs drawn out of the corpus
-    itself.
+    The defect is the supplied value, or else phi's declared bound.
+    InputError when there is neither: a defect sampled from the corpus would
+    only bound the true defect from below, and the inequality needs the
+    true one.
     """
     if defect is None:
         defect = phi.declared_defect_bound
     if defect is None:
-        pool = list(words)
-        if not pool:
-            raise InputError("sampling a defect needs a nonempty corpus")
-
-        def sampler(rng):
-            return pool[rng.randrange(len(pool))]
-
-        defect = sample_defect(phi, sampler, DEFECT_TRIALS, seed)
+        raise InputError(f"{phi.name} declares no defect bound: pass one (a corpus sample only bounds it below)")
     defect = Fraction(defect)
     gen_max = max((abs(Fraction(v)) for v in generator_values), default=Fraction(0))
     factor = defect + gen_max
@@ -187,6 +180,8 @@ def check_lipschitz(
     if len(flow_family) < 3:
         raise InputError("need at least three family members")
     lengths = [lp_length_radial(flow, p) for flow in flow_family]
+    if lengths[0] == lengths[1] or 0 in lengths:
+        raise InputError("the first two members need distinct lengths, and every member a nonzero length")
     estimates = [
         estimate_phi_tilde_n(
             flow, phi, n, samples=samples, k_schedule=k_schedule, seed=seed, threads=threads
@@ -325,33 +320,17 @@ def _exact_inverse(rows: list[list[Fraction]]) -> Optional[list[list[Fraction]]]
 
 
 def _exact_lobe_sign(profile: RadialProfile, lo: Fraction, hi: Fraction, positive: bool) -> bool:
-    """Exact sign of h on the open interval (lo, hi) for the bump family.
+    """Exact sign of h on the open interval (lo, hi), piece by piece.
 
-    Each covered piece must be either linear or a cubic with a double
-    rational root (the two shapes the family uses); in both cases interval
-    positivity reduces to endpoint evaluations of a linear factor.
+    On each piece's part of the interval the Bernstein coefficients of the
+    signed piece must be >= 0 and not all 0 (``poly.bernstein``), which
+    proves the sign inside the part for a piece of any degree; h may vanish
+    at the part's ends.
     """
+    sign = 1 if positive else -1
     for a, b, piece in _pieces_meeting(profile, lo, hi):
-        seg_lo, seg_hi = max(a, lo), min(b, hi)
-        coeffs = list(piece)
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        deg = len(coeffs) - 1
-        if deg <= 1:
-            if not _linear_sign_on_open(coeffs, seg_lo, seg_hi, positive):
-                return False
-        elif deg == 3:
-            # the flank shape: a double root at one piece endpoint
-            for root in (a, b):
-                quot, first = divide_linear(coeffs, root)
-                quot, second = divide_linear(quot, root)
-                if first == second == 0:
-                    break
-            else:
-                return False
-            if not _linear_sign_on_open(quot, seg_lo, seg_hi, positive, strict=True):
-                return False
-        else:
+        coeffs = [sign * c for c in bernstein(piece, max(a, lo), min(b, hi))]
+        if min(coeffs) < 0 or not any(coeffs):
             return False
     return True
 
@@ -364,17 +343,6 @@ def _pieces_meeting(profile: RadialProfile, lo: Fraction, hi: Fraction):
         for k, piece in enumerate(profile.pieces)
         if max(bps[k], lo) < min(bps[k + 1], hi)
     ]
-
-
-def _linear_sign_on_open(coeffs, lo: Fraction, hi: Fraction, positive: bool, strict: bool = False) -> bool:
-    """Sign of a degree <= 1 polynomial on the open interval (lo, hi)."""
-    v_lo, v_hi = evaluate(coeffs, lo), evaluate(coeffs, hi)
-    if not positive:
-        v_lo, v_hi = -v_lo, -v_hi
-    if strict:
-        return v_lo > 0 and v_hi > 0
-    # zeros allowed only at the interval ends
-    return v_lo >= 0 and v_hi >= 0 and (v_lo > 0 or v_hi > 0)
 
 
 def check_hs_family(

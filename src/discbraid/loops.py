@@ -16,11 +16,11 @@ order, with the sign determined by the planar orientation of the swap
 consecutive samples assuming linear motion; non-generic projections are
 degenerate, with the event time, and are retried along perturbed
 directions.  One kernel does this for a whole batch of loops at once:
-``loop_braids`` reads a ``gg_loops`` batch, and ``extract_braid``,
-``extract_braid_auto`` and ``loop_braid`` are its batch of one.  Only the
-three one-bundle entry points screen for strands within
-COINCIDENCE_THRESHOLD at a sample (trajectory files and ``braid-extract``);
-a batch comes from configurations ``coincidence_free`` has already kept.
+``loop_braids`` reads a ``gg_loops`` batch, and ``extract_braid``, the one
+reader of a single bundle (trajectory files and ``braid-extract``), is its
+batch of one.  Only ``extract_braid`` screens for strands within
+COINCIDENCE_THRESHOLD at a sample; a batch comes from configurations
+``coincidence_free`` has already kept.
 
 ``loop_winding`` gives the turns of one pair x_i - x_j around the loop,
 the linking number lk[i,j] of its braid, exactly and without samples: the
@@ -49,8 +49,6 @@ __all__ = [
     "loop_samples",
     "loop_winding",
     "extract_braid",
-    "extract_braid_auto",
-    "loop_braid",
     "loop_braids",
     "perturb_direction",
     "winding_length",
@@ -414,23 +412,10 @@ def _perturbed(direction) -> list[tuple[float, float]]:
 
 
 def loop_braids(times, positions) -> list:
-    """``loop_braid`` of each loop of a ``gg_loops`` batch, without its
+    """``extract_braid`` of each loop of a ``gg_loops`` batch, without its
     closest-pair screen: a BraidWord, or the DegenerateConfigurationError
     of the last of the PERTURB_ATTEMPTS directions."""
     return _braid_words(times, positions, _perturbed((1.0, 0.0)), relabel=True)
-
-
-def _extract_one(bundle: TrajectoryBundle, directions, relabel: bool) -> BraidWord:
-    """The batch of one: the finiteness check and the closest-pair screen,
-    then ``_braid_words``."""
-    if not np.isfinite(bundle.positions).all():
-        raise InputError("trajectory positions must be finite")
-    if closest_pair(bundle.positions)[0] < COINCIDENCE_THRESHOLD:
-        raise DegenerateConfigurationError("strands pass within coincidence threshold")
-    word = _braid_words(bundle.times, bundle.positions[None], directions, relabel)[0]
-    if isinstance(word, DegenerateConfigurationError):
-        raise word
-    return word
 
 
 def extract_braid(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidWord:
@@ -438,16 +423,24 @@ def extract_braid(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidWord:
 
     Each change of the projected strand order between consecutive samples is
     resolved into adjacent transpositions ordered by their interpolated
-    crossing times.  Strands within COINCIDENCE_THRESHOLD, projection ties
-    and ambiguous simultaneous crossings raise
-    :class:`DegenerateConfigurationError`, the last three with the event time.
+    crossing times; a degenerate direction is retried along the next of the
+    PERTURB_ATTEMPTS ``perturb_direction`` attempts.  A closed bundle gives
+    its loop braid, labelled by bundle index: the word is conjugated by the
+    positive permutation word that starts strand i in the slot of
+    ``positions[i-1]``, which leaves the closure and every pairwise linking
+    number intact.  Strands within COINCIDENCE_THRESHOLD, and a degeneracy
+    along every direction (with its event time), raise
+    :class:`DegenerateConfigurationError`.
     """
-    return _extract_one(bundle, [perturb_direction(direction, 0)], relabel=False)
-
-
-def extract_braid_auto(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidWord:
-    """extract_braid with deterministic direction perturbation on degeneracy."""
-    return _extract_one(bundle, _perturbed(direction), relabel=False)
+    directions = _perturbed(direction)  # a zero direction is an InputError before any screen
+    if not np.isfinite(bundle.positions).all():
+        raise InputError("trajectory positions must be finite")
+    if closest_pair(bundle.positions)[0] < COINCIDENCE_THRESHOLD:
+        raise DegenerateConfigurationError("strands pass within coincidence threshold")
+    word = _braid_words(bundle.times, bundle.positions[None], directions, bundle.is_loop())[0]
+    if isinstance(word, DegenerateConfigurationError):
+        raise word
+    return word
 
 
 def _permutation_word(final) -> list[int]:
@@ -461,17 +454,6 @@ def _permutation_word(final) -> list[int]:
             current[p - 1], current[p] = current[p], current[p - 1]
             p -= 1
     return letters
-
-
-def loop_braid(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidWord:
-    """Pure braid of a closed bundle, with strands labelled by bundle index.
-
-    ``extract_braid_auto`` labels strands by their projected order; the loop
-    braid is that word conjugated by a fixed positive permutation word so
-    that strand i is the strand of ``positions[i-1]``.  Conjugation leaves
-    the closure and (for pure words) every pairwise linking number intact.
-    """
-    return _extract_one(bundle, _perturbed(direction), relabel=True)
 
 
 def _relative_angle_steps(bundle: TrajectoryBundle, i: int, j: int) -> np.ndarray:

@@ -8,6 +8,7 @@ float helper: it places quadrature splits and critical-point candidates.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -58,13 +59,19 @@ def integral(coeffs, lo, hi):
     return evaluate(anti, hi) - evaluate(anti, lo)
 
 
-def divide_linear(coeffs, root):
-    """Synthetic division by (y - root); (quotient, remainder), ascending."""
-    desc = list(reversed(coeffs))
-    out = [desc[0]]
-    for c in desc[1:]:
-        out.append(c + root * out[-1])
-    return list(reversed(out[:-1])), out[-1]
+def bernstein(coeffs, lo, hi) -> Poly:
+    """Bernstein coefficients b_0..b_d of a degree-d polynomial on [lo, hi]:
+    p(lo + (hi - lo) u) = sum_j b_j C(d, j) u^j (1 - u)^(d - j), so
+    b_0 = p(lo) and b_d = p(hi).  Every basis term is positive for u in
+    (0, 1), so b_j >= 0, not all 0, proves p > 0 on (lo, hi)."""
+    shifted = ()  # p(lo + (hi - lo) u), ascending in u, by Horner's rule
+    for c in reversed(coeffs):
+        shifted = add(mul(shifted, (lo, hi - lo)), (c,))
+    d = len(shifted) - 1
+    return tuple(
+        sum(Fraction(math.comb(j, k), math.comb(d, k)) * a for k, a in enumerate(shifted[: j + 1]))
+        for j in range(d + 1)
+    )
 
 
 def real_roots(desc, lo: float, hi: float) -> list[float]:

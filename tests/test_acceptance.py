@@ -30,7 +30,7 @@ from discbraid.flows import (
     radial_flow_apply,
 )
 from discbraid.lengths import lp_length_sampled
-from discbraid.loops import gg_loop, loop_braid, signed_winding
+from discbraid.loops import extract_braid, gg_loop, signed_winding
 from discbraid.profiles import make_hs_profile, polynomial_bump, rotation_profile
 from discbraid.quasimorphisms import (
     homogenize,
@@ -172,7 +172,7 @@ def test_criterion_05_braid_extraction():
     # full-turn rotation of two symmetric points
     rot = make_flow([(rotation_profile(1), 2 * math.pi)], validate=False)
     z = np.array([[0.5, 0.0], [-0.5, 0.0]])
-    word = free_reduce(loop_braid(gg_loop(z, z, rot, 64)))
+    word = free_reduce(extract_braid(gg_loop(z, z, rot, 64)))
     assert word.letters in ((1, 1), (-1, -1))
     assert abs(linking_number(word, 1, 2)) == 1
 
@@ -192,7 +192,7 @@ def test_criterion_05_braid_extraction():
         th = rng.uniform(0, 2 * np.pi, n)
         config = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
         bundle = gg_loop(base, config, flow)
-        word = loop_braid(bundle)
+        word = extract_braid(bundle)
         assert is_pure(word)
         for i in range(n):
             for j in range(i + 1, n):
@@ -207,8 +207,8 @@ def test_criterion_05_braid_extraction():
         r = np.sqrt(rng.uniform(0, 1, n))
         th = rng.uniform(0, 2 * np.pi, n)
         config = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-        coarse = loop_braid(gg_loop(base, config, flow, 128))
-        fine = loop_braid(gg_loop(base, config, flow, 256))
+        coarse = extract_braid(gg_loop(base, config, flow, 128))
+        fine = extract_braid(gg_loop(base, config, flow, 256))
         assert braid_signature(coarse) == braid_signature(fine)
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):

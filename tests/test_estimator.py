@@ -18,7 +18,7 @@ from discbraid.estimator import (
     estimate_phi_tilde_n,
 )
 from discbraid.flows import make_flow, signature_response
-from discbraid.loops import COINCIDENCE_THRESHOLD, gg_loop, loop_braid, loop_winding
+from discbraid.loops import COINCIDENCE_THRESHOLD, extract_braid, gg_loop, loop_winding
 from discbraid.profiles import make_hs_profile, polynomial_bump, rotation_profile
 from discbraid.quasimorphisms import linking_quasimorphism, signature_quasimorphism
 from discbraid.seifert import braid_signature, class_signature, matrix_signature, seifert_matrix
@@ -171,7 +171,7 @@ class TestLoopWinding:
         # every ordered pair of 700 configurations: 16 800 cases over the six runs
         base = default_base(n)
         configs = est_mod.sample_configs(chunk_rng(31, est_mod.TASK_PHI, n), 700, n)
-        words = [loop_braid(gg_loop(base, c, flow)) for c in configs]
+        words = [extract_braid(gg_loop(base, c, flow)) for c in configs]
         for i, j in itertools.permutations(range(n), 2):
             turns = loop_winding(flow, base, configs, i, j)
             assert not np.isnan(turns).any()  # no case passes as a double rejection
@@ -223,7 +223,7 @@ class TestLoopWinding:
             alone = gg_loop(base, config, flow)
             assert np.array_equal(times, alone.times)
             assert np.array_equal(loop, alone.positions)
-            assert word == loop_braid(alone)
+            assert word == extract_braid(alone)
 
     def test_config_loops_batches_keep_the_bytes(self, monkeypatch):
         flow = bump_flow(t=16)

@@ -13,6 +13,7 @@ import pytest
 from discbraid.braids import make_word, power
 from discbraid.errors import InputError
 from discbraid import cli
+from discbraid import experiments as experiments_mod
 from discbraid.experiments import (
     Report,
     battery,
@@ -26,7 +27,8 @@ from discbraid.experiments import (
     linear_fit,
 )
 from discbraid.flows import make_flow
-from discbraid.profiles import make_hs_profile, polynomial_bump
+from discbraid.poly import mul
+from discbraid.profiles import RadialProfile, make_hs_profile, polynomial_bump
 from discbraid.quasimorphisms import linking_quasimorphism, signature_quasimorphism
 
 
@@ -97,6 +99,12 @@ class TestWordLengthBound:
         with pytest.raises(InputError, match="corpus"):
             check_word_length_bound(signature_quasimorphism(), [Fraction(1)], [])
 
+    def test_no_sampled_defect(self):
+        # a defect sampled from the corpus only bounds the true defect below
+        words = [make_word([1] * (2 * k), 2) for k in range(12)]
+        with pytest.raises(InputError, match="defect"):
+            check_word_length_bound(signature_quasimorphism(), [Fraction(1)], words)
+
 
 class TestSignatureMatrix:
     # the bi-Lipschitz hypothesis: the exact response matrix is nonsingular
@@ -136,6 +144,34 @@ class TestHsFamily:
     def test_validation(self):
         with pytest.raises(InputError):
             check_hs_family([])
+
+
+class TestLobeSign:
+    @staticmethod
+    def profile(middle):
+        """h = 0 on [0, 1/4] and [3/4, 1], the continuous piece ``middle`` between."""
+        return RadialProfile((0, Fraction(1, 4), Fraction(3, 4), 1), ((0,), middle, (0,)), 0)
+
+    def test_rejects_a_sign_change_inside_a_piece(self):
+        # (y - 1/4)(y - 1/2)(y - 3/4): positive on (1/4, 1/2), negative on (1/2, 3/4)
+        h = self.profile(mul(mul((Fraction(-1, 4), 1), (Fraction(-1, 2), 1)), (Fraction(-3, 4), 1)))
+        assert h.value(Fraction(3, 8)) > 0 > h.value(Fraction(5, 8))
+        for positive in (True, False):
+            assert not experiments_mod._exact_lobe_sign(h, Fraction(1, 4), Fraction(3, 4), positive)
+        assert experiments_mod._exact_lobe_sign(h, Fraction(1, 4), Fraction(1, 2), True)
+        assert experiments_mod._exact_lobe_sign(h, Fraction(1, 2), Fraction(3, 4), False)
+
+    def test_accepts_a_flank_whose_linear_factor_vanishes_at_the_edge(self):
+        # (y - 1/4)^2 L(y) with L = (y - 1/4)(3/4 - y) zero at the support edge
+        edge = (Fraction(-1, 4), 1)
+        h = self.profile(mul(mul(edge, edge), mul(edge, (Fraction(3, 4), -1))))
+        assert h.value(Fraction(1, 4)) == h.value(Fraction(3, 4)) == 0
+        assert experiments_mod._exact_lobe_sign(h, Fraction(1, 4), Fraction(3, 4), True)
+        assert not experiments_mod._exact_lobe_sign(h, Fraction(1, 4), Fraction(3, 4), False)
+
+    def test_zero_piece_has_no_sign(self):
+        h = self.profile((0,))
+        assert not experiments_mod._exact_lobe_sign(h, Fraction(1, 4), Fraction(3, 4), True)
 
 
 class TestBilipschitz:
@@ -274,6 +310,13 @@ class TestMonteCarloChecks:
         fit = proc.stdout.splitlines()[-1]
         assert fit.startswith("linear fit: estimate = ")
         assert 0.0 <= float(fit.rsplit("R^2 = ", 1)[1]) <= 1.0
+
+    @pytest.mark.parametrize("times", [(1, -1, 2), (0, 1, 2)], ids=["equal-first-lengths", "zero-length"])
+    def test_lipschitz_degenerate_lengths_are_input_errors(self, times):
+        prof = polynomial_bump(Fraction(1, 4), Fraction(3, 4), 20)
+        family = [make_flow([(prof, t)]) for t in times]
+        with pytest.raises(InputError, match="length"):
+            check_lipschitz(family, signature_quasimorphism(), 3, p=2, samples=40)
 
     def test_lipschitz_needs_three_members(self):
         prof = polynomial_bump(Fraction(1, 4), Fraction(3, 4), 20)

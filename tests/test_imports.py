@@ -1,7 +1,9 @@
 """No module of the package or its scripts imports another module's private
-names, or reads a private attribute of anything but ``self`` or ``cls``."""
+names, or reads a private attribute of anything but ``self`` or ``cls``; no
+module exports a name it does not define."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,13 @@ def test_no_private_imports_across_modules(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_private_attribute_reads_across_objects(path):
     assert private_attribute_reads(path) == []
+
+
+MODULES = sorted((ROOT / "src" / "discbraid").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_exports_exist(path):
+    """Every name in a module's ``__all__`` is defined in that module."""
+    module = importlib.import_module("discbraid" if path.stem == "__init__" else f"discbraid.{path.stem}")
+    assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []

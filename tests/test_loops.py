@@ -21,11 +21,9 @@ from discbraid.loops import (
     closest_pair,
     coincidence_free,
     extract_braid,
-    extract_braid_auto,
     gg_loop,
     gg_loops,
     MAX_LOOP_POSITIONS,
-    loop_braid,
     loop_braids,
     loop_samples,
     perturb_direction,
@@ -140,25 +138,25 @@ class TestLegEnds:
         for x in configs:
             bundle = gg_loop(z, x, flow)
             assert bundle.positions.shape == (n, m + 3, 2)
-            assert loop_braid(bundle).letters == loop_braid(legs_sampled(z, x, flow, m)).letters
+            assert extract_braid(bundle).letters == extract_braid(legs_sampled(z, x, flow, m)).letters
 
 
 class TestExtraction:
     def test_constant_bundle_empty_word(self):
         z = polygon(3)
         bundle = gg_loop(z, z, make_flow([]), 8)
-        assert extract_braid(bundle).letters == ()
+        assert representative_length(extract_braid(bundle)) == 0
 
     def test_out_and_back_trivial(self):
         z = polygon(2)
         x = np.array([[0.3, 0.2], [-0.1, -0.4]])
         bundle = gg_loop(z, x, make_flow([]), 12)
-        assert representative_length(extract_braid_auto(bundle)) == 0
+        assert representative_length(extract_braid(bundle)) == 0
 
     def test_full_turn_two_points(self):
         z = np.array([[0.5, 0.0], [-0.5, 0.0]])
         bundle = gg_loop(z, z, full_rotation_flow(1), 64)
-        word = free_reduce(loop_braid(bundle))
+        word = free_reduce(extract_braid(bundle))
         assert word.letters in ((1, 1), (-1, -1))
         assert abs(linking_number(word, 1, 2)) == 1
         # counterclockwise rotation winds positively in this convention
@@ -183,7 +181,7 @@ class TestExtraction:
             z = polygon(n)
             x = random_config(rng, n)
             bundle = gg_loop(z, x, flow)
-            word = loop_braid(bundle)
+            word = extract_braid(bundle)
             assert is_pure(word)
             for i in range(n):
                 for j in range(i + 1, n):
@@ -201,8 +199,8 @@ class TestExtraction:
             n = int(rng.integers(2, 5))
             z = polygon(n)
             x = random_config(rng, n)
-            coarse = loop_braid(gg_loop(z, x, flow, 96))
-            fine = loop_braid(gg_loop(z, x, flow, 192))
+            coarse = extract_braid(gg_loop(z, x, flow, 96))
+            fine = extract_braid(gg_loop(z, x, flow, 192))
             assert braid_signature(coarse) == braid_signature(fine)
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
@@ -210,22 +208,22 @@ class TestExtraction:
             hits += int(len(coarse.letters) > 0)
         assert hits >= 5  # the braids genuinely braided
 
-    def test_projection_tie_raises_and_perturbation_resolves(self):
+    def test_projection_tie_raises_and_perturbation_resolves(self, monkeypatch):
         # vertical pair: x-projections tie at every sample for direction (1,0)
         z = np.array([[0.0, 0.4], [0.0, -0.4]])
         bundle = gg_loop(z, z, make_flow([]), 8)
+        assert representative_length(extract_braid(bundle, (1.0, 0.0))) == 0
+        monkeypatch.setattr(loops_mod, "PERTURB_ATTEMPTS", 1)
         with pytest.raises(DegenerateConfigurationError) as info:
             extract_braid(bundle, (1.0, 0.0))
         assert info.value.time is not None  # the event time travels with it
-        assert extract_braid_auto(bundle, (1.0, 0.0)).letters == ()
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_positions_rejected(self, value):
         pos = np.array([[[0.5, 0.0], [value, 0.0], [-0.5, 0.1]], [[-0.5, 0.0], [0.3, 0.0], [0.5, -0.1]]])
         bundle = TrajectoryBundle(np.linspace(0.0, 1.0, 3), pos)
-        for extract in (extract_braid, extract_braid_auto, loop_braid):
-            with pytest.raises(InputError, match="finite"):
-                extract(bundle)
+        with pytest.raises(InputError, match="finite"):
+            extract_braid(bundle)
 
     def test_relabelled_word_matches_bundle_indices(self):
         # base ordered against the projection so relabelling must kick in
@@ -234,7 +232,7 @@ class TestExtraction:
         flow = bump_flow()
         bundle = gg_loop(z, x, flow, 128)
         assert walk_initial_order(bundle) != (0, 1, 2)
-        word = loop_braid(bundle)
+        word = extract_braid(bundle)
         for i in range(3):
             for j in range(i + 1, 3):
                 assert linking_number(word, i + 1, j + 1) == round(
@@ -339,11 +337,6 @@ def walk_extract_braid(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidW
     return BraidWord(n, tuple(letters))
 
 
-def walk_extract_braid_auto(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidWord:
-    """extract_braid with deterministic direction perturbation on degeneracy."""
-    return walk_extract_perturbed(bundle, direction)[0]
-
-
 def walk_extract_perturbed(bundle: TrajectoryBundle, direction):
     """(word, direction) of the first of PERTURB_ATTEMPTS perturbed
     directions whose extraction is not degenerate; the last degeneracy
@@ -393,6 +386,13 @@ def walk_loop_braid(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidWord
     # projected order placed it
     u = BraidWord(bundle.strands, tuple(walk_permutation_word(order)))
     return BraidWord(bundle.strands, u.letters + word.letters + u.inverse().letters)
+
+
+def walk_bundle_braid(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidWord:
+    """The closed-bundle walk when the bundle closes, the perturbed walk when it is open."""
+    if bundle.is_loop():
+        return walk_loop_braid(bundle, direction)
+    return walk_extract_perturbed(bundle, direction)[0]
 
 
 def outcome(extract, *args):
@@ -449,7 +449,7 @@ class TestKernelMatchesWalk:
                     bundle = TrajectoryBundle(times, loop)
                     expected = outcome(walk_loop_braid, bundle)
                     assert batch_outcome(word) == expected
-                    assert outcome(loop_braid, bundle) == expected
+                    assert outcome(extract_braid, bundle) == expected
                     lettered += len(expected) > 0
         assert lettered > 20
 
@@ -457,14 +457,30 @@ class TestKernelMatchesWalk:
         rng = np.random.default_rng(3)
         flow = self.FLOWS["t4"]
         for n in (2, 3, 5):
-            bundle = gg_loop(polygon(n), random_config(rng, n), flow)
-            for direction in ((1.0, 0.0), (-1.0, 0.3), (3.0, 4.0)):
-                for ours, walk in (
-                    (extract_braid, walk_extract_braid),
-                    (extract_braid_auto, walk_extract_braid_auto),
-                    (loop_braid, walk_loop_braid),
-                ):
-                    assert outcome(ours, bundle, direction) == outcome(walk, bundle, direction)
+            closed = gg_loop(polygon(n), random_config(rng, n), flow)
+            # the loop without its last leg end, an open trajectory
+            opened = TrajectoryBundle(closed.times[:-1], closed.positions[:, :-1])
+            assert not opened.is_loop()
+            for bundle in (closed, opened):
+                for direction in ((1.0, 0.0), (-1.0, 0.3), (3.0, 4.0)):
+                    assert outcome(extract_braid, bundle, direction) == outcome(walk_bundle_braid, bundle, direction)
+
+    def test_closed_bundle_relabelled_open_bundle_not(self):
+        # the relabelling test's loop, and the same strands with the last
+        # position of one strand moved so that the bundle no longer closes
+        z = np.array([[0.5, 0.1], [-0.5, -0.1], [0.0, 0.3]])
+        x = np.array([[0.2, 0.5], [0.4, -0.3], [-0.6, 0.0]])
+        closed = gg_loop(z, x, bump_flow(), 128)
+        positions = closed.positions.copy()
+        positions[0, -1] += (0.0, 1e-3)
+        opened = TrajectoryBundle(closed.times, positions)
+        assert closed.is_loop() and not opened.is_loop()
+        order = walk_initial_order(closed)
+        assert order != (0, 1, 2)
+        u = tuple(walk_permutation_word(order))
+        word = extract_braid(opened).letters
+        assert word == walk_extract_braid(opened).letters and len(word) > 0
+        assert extract_braid(closed).letters == u + word + tuple(-l for l in reversed(u))
 
     DEGENERATE = {
         # x-projections tie at every sample
@@ -485,14 +501,15 @@ class TestKernelMatchesWalk:
     }
 
     @pytest.mark.parametrize("name", list(DEGENERATE))
-    def test_degeneracies_match_the_walk(self, name):
+    def test_degeneracies_match_the_walk(self, monkeypatch, name):
         bundle = self.DEGENERATE[name]
-        for ours, walk in (
-            (extract_braid, walk_extract_braid),
-            (extract_braid_auto, walk_extract_braid_auto),
-            (loop_braid, walk_loop_braid),
-        ):
-            assert outcome(ours, bundle) == outcome(walk, bundle)
+        assert outcome(extract_braid, bundle) == outcome(walk_bundle_braid, bundle)
+        monkeypatch.setattr(loops_mod, "PERTURB_ATTEMPTS", 1)  # the one direction (1, 0)
+        single = outcome(walk_extract_braid, bundle)
+        if isinstance(single[0], str):  # degenerate along it: the message and event time
+            assert outcome(extract_braid, bundle) == single
+        else:
+            assert outcome(extract_braid, bundle) == outcome(walk_bundle_braid, bundle)
 
     def test_degenerate_loops_in_a_batch(self):
         # every loop around a vertical base ties at its ends along (1, 0), so
@@ -543,7 +560,7 @@ class TestWinding:
             z = polygon(n)
             x = random_config(rng, n)
             bundle = gg_loop(z, x, flow)
-            word = loop_braid(bundle)
+            word = extract_braid(bundle)
             bound = 2 * sum(
                 winding_length(bundle, i, j) + 4
                 for i in range(n)
