@@ -235,15 +235,7 @@ def cmd_make_hs(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    entries = battery(
-        "desk",
-        seed=args.seed,
-        samples=args.samples,
-        lipschitz_samples=max(args.samples // 2, 2000),
-        trials=args.trials,
-        threads=args.threads,
-    )
-    runs = {name: run for name, _label, run in entries}
+    runs = battery(seed=args.seed, samples=args.samples, trials=args.trials, threads=args.threads)
     names = list(runs) if args.all or args.checks is None else args.checks.split(",")
     for name in names:
         if name not in runs:

@@ -63,8 +63,8 @@ __all__ = [
 CHUNK_SAMPLES = 512
 MAX_SAMPLES = 2**30  # the chunk list and its partial results stay in memory
 
+# Task numbers key the seed streams; 2 is retired, so the others keep theirs.
 TASK_PHI = 1
-TASK_DEFECT = 2
 TASK_LP_SPACE = 3
 TASK_EXPERIMENT = 4
 

@@ -477,66 +477,41 @@ MAX_TRIALS = 2**20
 
 
 def battery(
-    scale: str = "desk",
     seed: int = 0,
     samples: int = 4000,
-    lipschitz_samples: int = 2000,
     trials: int = 50,
     threads: int = 1,
-) -> list[tuple[str, str, Callable[[], Report]]]:
-    """The verification battery: (check name, label, call) per report, in run order.
+) -> dict[str, Callable[[], Report]]:
+    """The checks ``discbraid verify`` runs: check name -> call, in run order.
 
-    ``scale`` is "desk" (``discbraid verify``, one report per check name) or
-    "acceptance" (scripts/run_verification.py: the crossing bound on all
-    three criterion-7 flows, the word-length bound for the signature too,
-    and finer parameter grids).  Both scales cover the same check names.
-    ``samples`` drives the Calabi check, ``lipschitz_samples`` the
-    Lipschitz check, and ``trials`` the crossing-bound trials and the
-    bi-Lipschitz vector count (one vector per five trials); InputError,
-    before any vector is drawn, above MAX_TRIALS trials.
+    ``samples`` drives the Calabi check, and half of it, at least 2000, the
+    Lipschitz check.  ``trials`` is the crossing-bound trial count and sets
+    the bi-Lipschitz vector count (one vector per five trials); InputError,
+    before any vector is drawn, above MAX_TRIALS trials.  The acceptance
+    suite (tests/test_acceptance.py) runs each check at its stated size.
     """
-    if scale not in ("desk", "acceptance"):
-        raise InputError(f"unknown battery scale {scale!r}")
     if trials > MAX_TRIALS:
         raise InputError(f"need at most {MAX_TRIALS} trials, got {trials}")
-    desk = scale == "desk"
-    profiles = calabi_profiles()
     bump = partial(polynomial_bump, Fraction(1, 4), Fraction(3, 4))
-    if desk:
-        crossing = [("crossing-bound", make_flow([(bump(24), 1)]))]
-    else:
-        crossing = [(f"crossing-bound flow {k}", make_flow([(h, 1 + k)])) for k, h in enumerate(profiles)]
-    entries = [
-        ("crossing-bound", label, partial(check_crossing_bound, flow, 3, trials=trials, seed=seed + k))
-        for k, (label, flow) in enumerate(crossing)
-    ]
     lk_words = [power(make_word([1, 1], 2), k) for k in range(11)]
-    entries.append(("word-length", "word-length lk", partial(
-        check_word_length_bound, linking_quasimorphism(), [Fraction(1)], lk_words, seed=seed
-    )))
-    if not desk:
-        torus = [make_word([1] * (2 * k), 2) for k in range(12)]
-        entries.append(("word-length", "word-length signature", partial(
-            check_word_length_bound, signature_quasimorphism(), [Fraction(1)], torus, defect=Fraction(1)
-        )))
-    points = 21 if desk else 50  # evenly spaced over [1/4, 1/3]
-    s_grid = [Fraction(1, 4) + Fraction(1, 12) * Fraction(k, points - 1) for k in range(points)]
+    s_grid = [Fraction(1, 4) + Fraction(1, 12) * Fraction(k, 20) for k in range(21)]  # [1/4, 1/3]
     hs = [make_hs_profile(Fraction(1, 4) + Fraction(k, 60)) for k in range(5)]
-    den = 64 if desk else 128  # vector entries on the 1/den grid in (-4, 0) and (0, 4)
     rng = np.random.default_rng(seed)
-    vectors = [
-        [Fraction(int(x), den) for x in rng.integers(1, 4 * den, size=5) * rng.choice((-1, 1), size=5)]
+    vectors = [  # entries on the 1/64 grid in (-4, 0) and (0, 4)
+        [Fraction(int(x), 64) for x in rng.integers(1, 256, size=5) * rng.choice((-1, 1), size=5)]
         for _ in range(trials // 5 or 1)
     ]
     family = [make_flow([(bump(20), t)]) for t in range(1, 9)]
-    return entries + [
-        ("hs-family", "hs-family", partial(check_hs_family, s_grid)),
-        ("bilipschitz", "bilipschitz", partial(check_bilipschitz_disc, hs, vectors, p=2)),
-        ("calabi", "calabi-proportionality", partial(
-            check_calabi_proportionality, profiles, samples=samples, seed=seed, threads=threads
-        )),
-        ("lipschitz", "lipschitz", partial(
+    return {
+        "crossing-bound": partial(check_crossing_bound, make_flow([(bump(24), 1)]), 3, trials=trials, seed=seed),
+        "word-length": partial(check_word_length_bound, linking_quasimorphism(), [Fraction(1)], lk_words, seed=seed),
+        "hs-family": partial(check_hs_family, s_grid),
+        "bilipschitz": partial(check_bilipschitz_disc, hs, vectors, p=2),
+        "calabi": partial(
+            check_calabi_proportionality, calabi_profiles(), samples=samples, seed=seed, threads=threads
+        ),
+        "lipschitz": partial(
             check_lipschitz, family, signature_quasimorphism(), 3, p=2,
-            samples=lipschitz_samples, seed=seed, threads=threads,
-        )),
-    ]
+            samples=max(samples // 2, 2000), seed=seed, threads=threads,
+        ),
+    }

@@ -13,6 +13,7 @@ of the closed-form flow.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import sys
@@ -211,39 +212,49 @@ def signature_response(spec: FlowSpec, n: int) -> Fraction:
     return total
 
 
-def _derivative_integrand_pieces(profile: RadialProfile):
-    """(a, b, descending float coefficients, roots inside (a, b)) per piece of h'."""
-    breaks, coeffs = profile.derivative().float_pieces
-    out = []
-    for a, b, row in zip(breaks.tolist(), breaks[1:].tolist(), coeffs):
-        desc = row[::-1]
-        out.append((a, b, desc, real_roots(desc, a, b)))
-    return out
-
-
 def check_lp_exponent(p: float) -> None:
     """Raise InputError unless p is finite and >= 1, the exponents of L^p lengths."""
     if not (math.isfinite(p) and p >= 1):
         raise InputError(f"p must be a finite number >= 1, got {p!r}")
 
 
+def _unit_rate_pieces(spec: FlowSpec):
+    """(t_max, [(lo, hi, rate)]): t_max = max |t_i|, and on each interval of
+    the union of the terms' breakpoints the exact polynomial
+    rate = sum_i (t_i / t_max) h_i', so the angular rate is 2 t_max rate.
+    No pieces when t_max is 0."""
+    t_max = max((abs(Fraction(t)) for _, t in spec.terms), default=Fraction(0))
+    if t_max == 0:
+        return t_max, []
+    breakpoints = sorted({b for h, _ in spec.terms for b in h.breakpoints})
+    pieces = []
+    for lo, hi in zip(breakpoints, breakpoints[1:]):
+        rate = (Fraction(0),)
+        for h, t in spec.terms:
+            d = h.derivative()
+            piece = d.pieces[bisect.bisect_right(d.breakpoints, lo) - 1]
+            rate = add(rate, tuple(Fraction(t) / t_max * c for c in piece))
+        pieces.append((lo, hi, rate))
+    return t_max, pieces
+
+
 def lp_length_radial(spec: FlowSpec, p: float) -> float:
-    """L^p length of the isotopy [0,1] ∋ s -> flow at time s*t, single term.
+    """L^p length of the isotopy [0,1] ∋ s -> flow at times s*t_i.
 
     The speed field is autonomous, so the length is
-    |t| * 2 * pi^{1/p} * (int_0^1 y^{p/2} |h'(y)|^p dy)^{1/p},
-    evaluated by adaptive quadrature split at breakpoints and at the sign
-    changes of h'.
+    2 * pi^{1/p} * (int_0^1 y^{p/2} |sum_i t_i h_i'(y)|^p dy)^{1/p},
+    evaluated as t_max times the same expression for the rate divided by
+    t_max = max |t_i|, by adaptive quadrature split at the breakpoints of
+    every term and at the sign changes of the combined rate.
     """
     check_lp_exponent(p)
-    if len(spec.terms) != 1:
-        raise InputError("analytic L^p length covers single-term flows; sample instead")
-    h, t = spec.terms[0]
+    t_max, pieces = _unit_rate_pieces(spec)
     total = 0.0
-    for a, b, coeffs, roots in _derivative_integrand_pieces(h):
-        if not coeffs.size or not np.any(coeffs):
+    for a, b, rate in pieces:
+        if not any(rate):
             continue
-        edges = [a] + roots + [b]
+        coeffs = np.array([float(c) for c in reversed(rate)])
+        edges = [float(a)] + real_roots(coeffs, float(a), float(b)) + [float(b)]
         for lo, hi in zip(edges, edges[1:]):
             quad_out = integrate.quad(
                 lambda y: y ** (p / 2.0) * abs(np.polyval(coeffs, y)) ** p,
@@ -255,7 +266,7 @@ def lp_length_radial(spec: FlowSpec, p: float) -> float:
                 full_output=1,
             )
             total += quad_out[0]
-    return abs(float(t)) * 2.0 * math.pi ** (1.0 / p) * total ** (1.0 / p)
+    return float(t_max) * 2.0 * math.pi ** (1.0 / p) * total ** (1.0 / p)
 
 
 def lp_speed_moment_exact(spec: FlowSpec, p: int) -> Fraction:
@@ -269,31 +280,19 @@ def lp_speed_moment_exact(spec: FlowSpec, p: int) -> Fraction:
         raise InputError("exact speed moments need even integer p >= 2")
     if not spec.times_are_rational():
         raise InputError("exact speed moments need rational time coefficients")
-    breakpoints = sorted({b for h, _ in spec.terms for b in h.breakpoints})
+    t_max, pieces = _unit_rate_pieces(spec)
     total = Fraction(0)
-    for lo, hi in zip(breakpoints, breakpoints[1:]):
-        # combined rate polynomial on this piece
-        rate = (Fraction(0),)
-        for h, t in spec.terms:
-            d = h.derivative()
-            rate = add(rate, tuple(2 * Fraction(t) * c for c in d.pieces[_piece_at(d, lo)]))
+    for lo, hi, rate in pieces:
         power_poly = (Fraction(1),)
         for _ in range(p):
             power_poly = mul(power_poly, rate)
         total += integral(shift(power_poly, p // 2), lo, hi)
-    return total
+    return (2 * t_max) ** p * total
 
 
 def lp_length_exact_even(spec: FlowSpec, p: int) -> float:
     """Float L^p length from the exact even-p speed moment."""
     return math.pi ** (1.0 / p) * float(lp_speed_moment_exact(spec, p)) ** (1.0 / p)
-
-
-def _piece_at(profile: RadialProfile, y: Fraction) -> int:
-    for k in range(len(profile.pieces)):
-        if y < profile.breakpoints[k + 1]:
-            return k
-    return len(profile.pieces) - 1
 
 
 def integrate_flow_numeric(profile: RadialProfile, t: float, point, step: float):

@@ -4,10 +4,14 @@ The length of an isotopy is the time integral of the spatial L^p norm of
 its velocity field.  Because the maps are area-preserving, the spatial
 integral may be taken over initial conditions, so the estimator tracks a
 fixed cloud of uniformly sampled points, differentiates their motion in
-time, and applies the trapezoid rule in t.  The time discretization is
-accepted only after a Richardson check: halving dt must move the value by
-less than 0.1%.  A radial flow's angular rate depends only on |x|^2, so
-``as_isotopy`` computes it once per cloud, not once per time evaluation.
+time by centred differences, and applies the trapezoid rule in t on a
+fixed grid of ``time_steps`` points.  Richardson refinement halves only the
+difference step, until a halving moves the value by less than 0.1% or
+MAX_REFINEMENTS halvings are spent; a run that never settles returns its
+last value without saying so.  The trapezoid grid never changes, so its
+error is not measured.  A radial flow's angular rate depends only on
+|x|^2, so ``as_isotopy`` computes it once per cloud, not once per time
+evaluation.
 
 These lengths are upper bounds for the right-invariant metric (which is an
 infimum over all isotopies); every consumer in this package treats them as

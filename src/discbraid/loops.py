@@ -291,7 +291,9 @@ def _crossings(times, positions, direction):
     Between consecutive samples the strands move linearly, so a pair swaps
     its projected order at tau = d0 / (d0 - d1) of the step; the swaps of
     one step are applied in tau order, each an adjacent transposition
-    signed by the planar orientation of the pass.  A loop whose earlier
+    signed by the planar orientation of the pass; a pass whose strands are
+    less than COINCIDENCE_THRESHOLD apart across the direction is a
+    coincidence, not a crossing.  A loop whose earlier
     steps all succeed enters step k in the sorted order of sample k, so
     every (loop, changed step) row is resolved on its own, all rows at once.
     Slot pairs are screened PAIR_BUDGET (row, slot, slot) entries at a time
@@ -354,7 +356,7 @@ def _crossings(times, positions, direction):
             for dk, s in ((0, a), (1, a), (0, b), (1, b))
         )
         rel_perp = p0a + (p1a - p0a) * tau - p0b - (p1b - p0b) * tau
-        fail = live * np.where(slot_b - slot_a != 1, 2, np.where(rel_perp == 0.0, 3, 0))
+        fail = live * np.where(slot_b - slot_a != 1, 2, np.where(np.abs(rel_perp) < COINCIDENCE_THRESHOLD, 3, 0))
         settled = np.empty_like(strands)
         np.put_along_axis(settled, place, strands, axis=1)
         failure[rows] = np.select(

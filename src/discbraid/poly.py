@@ -59,14 +59,20 @@ def integral(coeffs, lo, hi):
     return evaluate(anti, hi) - evaluate(anti, lo)
 
 
+def compose(coeffs, c0, c1) -> Poly:
+    """p(c0 + c1 y), ascending in y, by Horner's rule."""
+    out = ()
+    for c in reversed(coeffs):
+        out = add(mul(out, (c0, c1)), (c,))
+    return out
+
+
 def bernstein(coeffs, lo, hi) -> Poly:
     """Bernstein coefficients b_0..b_d of a degree-d polynomial on [lo, hi]:
     p(lo + (hi - lo) u) = sum_j b_j C(d, j) u^j (1 - u)^(d - j), so
     b_0 = p(lo) and b_d = p(hi).  Every basis term is positive for u in
     (0, 1), so b_j >= 0, not all 0, proves p > 0 on (lo, hi)."""
-    shifted = ()  # p(lo + (hi - lo) u), ascending in u, by Horner's rule
-    for c in reversed(coeffs):
-        shifted = add(mul(shifted, (lo, hi - lo)), (c,))
+    shifted = compose(coeffs, lo, hi - lo)
     d = len(shifted) - 1
     return tuple(
         sum(Fraction(math.comb(j, k), math.comb(d, k)) * a for k, a in enumerate(shifted[: j + 1]))

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError
-from .poly import Poly, add, derivative, evaluate, integral, mul, real_roots, shift
+from .poly import Poly, compose, derivative, evaluate, integral, mul, real_roots, shift
 
 __all__ = [
     "RadialProfile",
@@ -203,7 +203,7 @@ def make_hs_profile(s) -> RadialProfile:
     q = Fraction(1, 8) / w**2 - p * Fraction(3, 8)
     left = mul((a * a, -2 * a, Fraction(1)), (q, p))
     # Right flank is the odd reflection -f(1 - y) about y = 1/2.
-    right = _reflect_poly(left)
+    right = tuple(-c for c in compose(left, Fraction(1), Fraction(-1)))
     core = (Fraction(1, 2), Fraction(-1))  # 1/2 - y
     breakpoints = (
         Fraction(0),
@@ -215,14 +215,6 @@ def make_hs_profile(s) -> RadialProfile:
     )
     pieces = ((Fraction(0),), left, core, right, (Fraction(0),))
     return RadialProfile(breakpoints, pieces, 1)
-
-
-def _reflect_poly(coeffs: Poly) -> Poly:
-    """-f(1 - y), by Horner's rule in 1 - y."""
-    out = (-coeffs[-1],)
-    for c in reversed(coeffs[:-1]):
-        out = add(mul(out, (Fraction(1), Fraction(-1))), (-c,))
-    return out
 
 
 # -- file format ----------------------------------------------------------

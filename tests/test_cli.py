@@ -18,6 +18,7 @@ from discbraid.profiles import (
     profile_from_json,
     profile_to_json,
     rotation_profile,
+    zero_profile,
 )
 
 
@@ -184,6 +185,16 @@ class TestBraidExtract:
         code, out, err = run_cli(capsys, "braid-extract", "--trajectory", str(traj))
         assert (code, out) == (1, "")
         assert err == f'{{"error": "{error}", "message": "{message}"}}\n'
+
+    def test_written_swap_loop_is_coincident(self, capsys, tmp_path):
+        # the legs of this loop pass through each other at the origin; written
+        # out, rounding leaves a gap of about 6e-17 across the direction there
+        base = default_base(2)
+        traj = tmp_path / "swap.csv"
+        traj.write_text(loops.write_trajectory_csv(loops.gg_loop(base, base[::-1], make_flow([(zero_profile(), 1)]))))
+        code, out, err = run_cli(capsys, "braid-extract", "--trajectory", str(traj))
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "DegenerateConfigurationError", "message": "crossing with coincident strands"}
 
     def test_wide_trajectory_memory_is_bounded(self, capsys, tmp_path, monkeypatch):
         # the end strands pass their neighbours, so the step's changed slots

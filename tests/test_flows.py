@@ -236,11 +236,14 @@ class TestLpLength:
         flow = rotation_flow(1)
         assert lp_length_radial(flow, 1) == pytest.approx(2 * math.pi / 3, rel=1e-10)
 
-    def test_multi_term_rejected(self):
-        h = polynomial_bump(Fraction(1, 4), Fraction(3, 4), 3)
-        flow = make_flow([(h, 1), (h, 2)])
-        with pytest.raises(InputError):
-            lp_length_radial(flow, 2)
+    def test_multi_term_matches_exact_even(self):
+        h1 = polynomial_bump(Fraction(1, 8), Fraction(1, 2), 12)
+        h2 = polynomial_bump(Fraction(3, 8), Fraction(7, 8), 7)
+        combined = make_flow([(h1, Fraction(2, 3)), (h2, Fraction(-1, 2))])
+        for p in (2, 4):
+            assert lp_length_radial(combined, p) == pytest.approx(lp_length_exact_even(combined, p), rel=1e-12)
+        same = make_flow([(h2, 1), (h2, 2)])
+        assert lp_length_radial(same, 2) == pytest.approx(3 * lp_length_radial(make_flow([(h2, 1)]), 2), rel=1e-12)
 
     def test_scaling_in_time(self):
         h = polynomial_bump(Fraction(1, 4), Fraction(3, 4), 11)

@@ -322,7 +322,7 @@ def walk_extract_braid(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidW
                 p0[left] + (p1[left] - p0[left]) * tau
                 - p0[right] - (p1[right] - p0[right]) * tau
             )
-            if rel_perp == 0.0:
+            if abs(rel_perp) < COINCIDENCE_THRESHOLD:
                 raise DegenerateConfigurationError(
                     "crossing with coincident strands", time=float(bundle.times[k])
                 )

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from discbraid.poly import bernstein, evaluate
+from discbraid.poly import bernstein, compose, evaluate
 
 POLYS = {
     "constant": (Fraction(5, 3),),
@@ -33,3 +33,13 @@ def test_bernstein_sum_gives_the_polynomial_back(name, lo, hi):
         total = sum(c * math.comb(d, j) * u**j * (1 - u) ** (d - j) for j, c in enumerate(b))
         assert total == evaluate(p, lo + (hi - lo) * u)
 
+
+
+@pytest.mark.parametrize("name", list(POLYS))
+@pytest.mark.parametrize("c0, c1", [(Fraction(1), Fraction(-1)), (Fraction(1, 4), Fraction(3, 8)), (Fraction(-2), Fraction(0))])
+def test_compose_is_the_substitution(name, c0, c1):
+    p = POLYS[name]
+    q = compose(p, c0, c1)
+    assert len(q) == len(p)
+    for y in (Fraction(0), Fraction(1, 3), Fraction(-5, 11), Fraction(2)):
+        assert evaluate(q, y) == evaluate(p, c0 + c1 * y)
