@@ -34,7 +34,6 @@ from .flows import (
     FlowSpec,
     calabi,
     calabi_coefficient,
-    integrate_flow_numeric,
     lp_length_radial,
     lp_speed_moment_exact,
     make_flow,
@@ -56,7 +55,6 @@ from .quasimorphisms import (
     QuasimorphismSpec,
     homogenize,
     linking_quasimorphism,
-    sample_defect,
     signature_quasimorphism,
 )
 from .seifert import SeifertMatrix, braid_signature, matrix_signature, seifert_matrix

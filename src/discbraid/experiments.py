@@ -4,12 +4,14 @@ Each check returns a machine-readable Report: a pass flag, the worst margin
 observed (how much slack the asserted inequality had), and every
 intermediate quantity needed to audit the run.  The checks verify
 structure: boundedness of ratios, linearity, sign conditions, and sandwich
-inequalities with empirically fitted constants.  Where exact formulas exist
-(moments, signature responses, even-p speed moments) the comparisons run in
-rational arithmetic, and the profile sign conditions are certified exactly
-by Bernstein coefficients; Monte Carlo quantities carry 3-sigma bands.  The
-word-length bound takes a true defect, given or declared, never a sampled
-one.
+inequalities with empirically fitted constants.  The Calabi and Lipschitz
+checks report the exact oracle next to those constants: each member's exact
+value (``exact_phi_tilde``) and the z-score of its estimate.  Where exact
+formulas exist (moments, signature responses, even-p speed moments) the
+comparisons run in rational arithmetic, and the profile sign conditions are
+certified exactly by Bernstein coefficients; Monte Carlo quantities carry
+3-sigma bands.  The word-length bound takes a true defect, given or
+declared, never a sampled one.
 
 Lower bounds on the group norm are never computed directly (the norm is an
 infimum over isotopies).  The bi-Lipschitz check bounds it below through
@@ -66,6 +68,7 @@ __all__ = [
     "check_bilipschitz_disc",
     "check_hs_family",
     "check_calabi_proportionality",
+    "exact_phi_tilde",
     "linear_fit",
 ]
 
@@ -220,9 +223,36 @@ def check_lipschitz(
             "mean_ratio": mean_ratio,
             "r_squared": r_squared,
             "fit": {"slope": slope, "intercept": intercept},
+            **_oracle(flow_family, phi, n, estimates),
         },
         seed,
     )
+
+
+def exact_phi_tilde(flow: FlowSpec, phi: QuasimorphismSpec, n: int) -> float:
+    """Exact homogenized value of phi on the n-point braids of a radial flow.
+
+    The signature (``phi.strands`` None) is pi^(n-1) ``signature_response(flow, n)``;
+    the linking number of any pair is -pi^(n-1) ``signature_response(flow, 2)`` / 2.
+    On a compactly supported profile the latter is -pi^(n-2) times the Calabi
+    value, but unlike -Calabi it is also right for a rigid rotation.
+    InputError for float times.
+    """
+    if phi.strands is None:
+        return math.pi ** (n - 1) * float(signature_response(flow, n))
+    return -(math.pi ** (n - 1)) * float(signature_response(flow, 2)) / 2
+
+
+def _oracle(flows: Sequence[FlowSpec], phi: QuasimorphismSpec, n: int, estimates) -> dict:
+    """Per member: ``exact``, the exact value (None for float times), and
+    ``z``, the signed estimate's deviation from it in standard errors (None
+    without an exact value or with a zero standard error)."""
+    exact = [exact_phi_tilde(f, phi, n) if f.times_are_rational() else None for f in flows]
+    z = [
+        None if x is None or e.std_error == 0 else (e.value - x) / e.std_error
+        for x, e in zip(exact, estimates)
+    ]
+    return {"exact": exact, "z": z}
 
 
 def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:
@@ -458,6 +488,7 @@ def check_calabi_proportionality(
             "ratios": ratios,
             "predicted": predicted,
             "estimates": [e.to_dict() for e in estimates],
+            **_oracle(flows, linking_quasimorphism(1, 2), 2, estimates),
         },
         seed,
     )

@@ -6,9 +6,6 @@ exact flow (r, theta) -> (r, theta + 2 t h_i'(r^2)).  Everything downstream
 leans on that closed form: trajectories are sampled analytically, the
 Calabi value is 2 pi sum_i t_i * int h_i, and L^p lengths reduce to the
 one-dimensional integral of y^{p/2} |sum_i 2 t_i h_i'(y)|^p.
-
-A numeric symplectic integrator is included purely as an independent check
-of the closed-form flow.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ __all__ = [
     "lp_length_radial",
     "lp_speed_moment_exact",
     "lp_length_exact_even",
-    "integrate_flow_numeric",
     "flow_to_json",
     "flow_from_json",
 ]
@@ -245,7 +241,8 @@ def lp_length_radial(spec: FlowSpec, p: float) -> float:
     2 * pi^{1/p} * (int_0^1 y^{p/2} |sum_i t_i h_i'(y)|^p dy)^{1/p},
     evaluated as t_max times the same expression for the rate divided by
     t_max = max |t_i|, by adaptive quadrature split at the breakpoints of
-    every term and at the sign changes of the combined rate.
+    every term and at the sign changes of the combined rate.  InputError
+    when the length overflows a float.
     """
     check_lp_exponent(p)
     t_max, pieces = _unit_rate_pieces(spec)
@@ -266,7 +263,10 @@ def lp_length_radial(spec: FlowSpec, p: float) -> float:
                 full_output=1,
             )
             total += quad_out[0]
-    return float(t_max) * 2.0 * math.pi ** (1.0 / p) * total ** (1.0 / p)
+    length = float(t_max) * 2.0 * math.pi ** (1.0 / p) * total ** (1.0 / p)
+    if not math.isfinite(length):
+        raise InputError("L^p length overflows float arithmetic")
+    return length
 
 
 def lp_speed_moment_exact(spec: FlowSpec, p: int) -> Fraction:
@@ -293,48 +293,6 @@ def lp_speed_moment_exact(spec: FlowSpec, p: int) -> Fraction:
 def lp_length_exact_even(spec: FlowSpec, p: int) -> float:
     """Float L^p length from the exact even-p speed moment."""
     return math.pi ** (1.0 / p) * float(lp_speed_moment_exact(spec, p)) ** (1.0 / p)
-
-
-def integrate_flow_numeric(profile: RadialProfile, t: float, point, step: float):
-    """Implicit-midpoint integration of the Hamiltonian field of h(|x|^2).
-
-    The field is v(x, y) = 2 h'(x^2 + y^2) * (-y, x).  Used only as an
-    independent oracle for the closed-form flow; the scheme preserves the
-    radius (a quadratic invariant) to solver tolerance and the area up to
-    O(step^2).
-    """
-    if step <= 0:
-        raise InputError("step must be positive")
-    d = profile.derivative()
-    breaks, coeffs = d.float_pieces
-
-    def velocity(x, y):
-        r2 = x * x + y * y
-        idx = min(max(int(np.searchsorted(breaks, r2, side="right")) - 1, 0), len(coeffs) - 1)
-        acc = 0.0
-        for c in coeffs[idx][::-1]:
-            acc = acc * r2 + c
-        w = 2.0 * acc
-        return -w * y, w * x
-
-    x, y = float(point[0]), float(point[1])
-    remaining = float(t)
-    direction = 1.0 if remaining >= 0 else -1.0
-    remaining = abs(remaining)
-    while remaining > 1e-15:
-        dt = direction * min(step, remaining)
-        mx, my = x, y
-        for _ in range(50):
-            vx, vy = velocity(mx, my)
-            nx, ny = x + 0.5 * dt * vx, y + 0.5 * dt * vy
-            if abs(nx - mx) + abs(ny - my) < 1e-15:
-                mx, my = nx, ny
-                break
-            mx, my = nx, ny
-        vx, vy = velocity(mx, my)
-        x, y = x + dt * vx, y + dt * vy
-        remaining -= abs(dt)
-    return (x, y)
 
 
 # -- flow file format ------------------------------------------------------

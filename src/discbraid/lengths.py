@@ -161,14 +161,18 @@ def lp_length_of_bundle(bundle: TrajectoryBundle, p: float) -> float:
     Strand speeds come from finite differences of the samples; the empirical
     average over strands is scaled by the disc area so the number is
     comparable with the field-based length when the strands sample the disc.
+    InputError when the length overflows float arithmetic.
     """
     check_lp_exponent(p)
     pos = bundle.positions
     times = bundle.times
     value = 0.0
-    for k in range(times.size - 1):
-        dt = times[k + 1] - times[k]
-        step = pos[:, k + 1, :] - pos[:, k, :]
-        speed = np.hypot(step[:, 0], step[:, 1]) / dt
-        value += dt * (math.pi * float(np.mean(speed**p))) ** (1.0 / p)
+    with np.errstate(over="ignore"):  # an overflow leaves inf, refused below
+        for k in range(times.size - 1):
+            dt = times[k + 1] - times[k]
+            step = pos[:, k + 1, :] - pos[:, k, :]
+            speed = np.hypot(step[:, 0], step[:, 1]) / dt
+            value += dt * (math.pi * float(np.mean(speed**p))) ** (1.0 / p)
+    if not math.isfinite(value):
+        raise InputError("L^p length overflows float arithmetic")
     return value

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional
 
-from .braids import BraidWord, concat, free_reduce, linking_number, power
+from .braids import BraidWord, free_reduce, linking_number, power
 from .errors import InputError
 from .seifert import braid_signature
 
@@ -24,7 +24,6 @@ __all__ = [
     "QuasimorphismSpec",
     "HomogenizedValue",
     "homogenize",
-    "sample_defect",
     "linking_quasimorphism",
     "signature_quasimorphism",
 ]
@@ -104,33 +103,6 @@ def homogenize(phi: QuasimorphismSpec, a: BraidWord, k_max: int) -> HomogenizedV
     else:
         error = abs(slopes[-1][1] - slopes[-2][1]) if len(slopes) >= 2 else None
     return HomogenizedValue(value, error, k_used, tuple(values))
-
-
-def sample_defect(
-    phi: QuasimorphismSpec,
-    word_sampler: Callable,
-    trials: int,
-    seed: int,
-) -> Fraction:
-    """Largest homomorphism error observed on sampled word pairs.
-
-    This is a lower bound for the true defect.  ``word_sampler`` is called
-    with a ``random.Random`` instance and must return a BraidWord; trials are
-    keyed individually off ``seed`` so the result does not depend on
-    evaluation order.
-    """
-    import random
-
-    if trials < 1:
-        raise InputError("need at least one trial")
-    worst = Fraction(0)
-    for t in range(trials):
-        rng = random.Random((seed << 20) ^ t)
-        a = word_sampler(rng)
-        b = word_sampler(rng)
-        gap = abs(phi(concat(a, b)) - phi(a) - phi(b))
-        worst = max(worst, gap)
-    return worst
 
 
 def _linking_value(a: BraidWord, i: int, j: int) -> Fraction:

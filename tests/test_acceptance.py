@@ -24,7 +24,6 @@ from discbraid.experiments import (
 )
 from discbraid.flows import (
     flow_to_json,
-    integrate_flow_numeric,
     lp_length_radial,
     make_flow,
     radial_flow_apply,
@@ -38,6 +37,8 @@ from discbraid.quasimorphisms import (
     signature_quasimorphism,
 )
 from discbraid.seifert import braid_signature
+
+from references import integrate_flow_numeric
 
 
 class Stopwatch:

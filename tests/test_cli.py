@@ -318,6 +318,23 @@ class TestLpLength:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "InputError"
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_analytic_length_refused(self, capsys, tmp_path):
+        profile = tmp_path / "hs.json"
+        assert run_cli(capsys, "make-hs", "--s", "7/24", "--out", str(profile))[0] == 0
+        code, out, err = run_cli(capsys, "lp-length", "--profile", str(profile), "--time", "1e308", "--p", "1")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "InputError"
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_trajectory_length_refused(self, capsys, tmp_path):
+        # a strand moves by 1 in a subnormal time step: its speed overflows
+        traj = tmp_path / "traj.csv"
+        traj.write_text("2,2\ntime,strand,x,y\n0.0,0,0.1,0\n0.0,1,-0.5,0\n1e-320,0,0.1,1\n1e-320,1,-0.5,0\n")
+        code, out, err = run_cli(capsys, "lp-length", "--trajectory", str(traj), "--p", "2")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "InputError"
+
     def test_sampled_close_to_analytic(self, capsys, bump_flow_file):
         _, out_a, _ = run_cli(capsys, "lp-length", "--flow", bump_flow_file, "--p", "2")
         analytic = payload_of(out_a)["value"]

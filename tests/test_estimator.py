@@ -17,7 +17,8 @@ from discbraid.estimator import (
     estimate_phi_n,
     estimate_phi_tilde_n,
 )
-from discbraid.flows import make_flow, signature_response
+from discbraid.experiments import calabi_profiles, exact_phi_tilde
+from discbraid.flows import make_flow
 from discbraid.loops import COINCIDENCE_THRESHOLD, extract_braid, gg_loop, loop_winding
 from discbraid.profiles import make_hs_profile, polynomial_bump, rotation_profile
 from discbraid.quasimorphisms import linking_quasimorphism, signature_quasimorphism
@@ -327,25 +328,29 @@ class TestEstimatePhiTilde:
 
 
 class TestSignatureOracle:
-    # the exact response against Monte Carlo at n = 3, where k = (1, 2) has settled
+    # exact_phi_tilde against Monte Carlo: the signature at n = 3, where
+    # k = (1, 2) has settled, and linking numbers at n = 2 and 3; on the rigid
+    # rotation lk is +pi/2 where -Calabi is -pi/2, so a sign slip fails
     hs = [make_hs_profile(Fraction(1, 4) + Fraction(k, 60)) for k in (0, 2, 4)]
+    calabi = calabi_profiles()
+    SIG = signature_quasimorphism()
 
     @pytest.mark.parametrize(
-        "terms",
+        "flow, phi, n",
         [
-            [(polynomial_bump(Fraction(1, 4), Fraction(3, 4), 20), 1)],
-            [(hs[0], 4)],
-            [(polynomial_bump(Fraction(1, 8), Fraction(1, 2), 60), Fraction(-1, 2))],
-            [(hs[0], Fraction(3, 2)), (hs[2], Fraction(-5, 2)), (hs[1], 1)],
+            (make_flow([(polynomial_bump(Fraction(1, 4), Fraction(3, 4), 20), 1)]), SIG, 3),
+            (make_flow([(hs[0], 4)]), SIG, 3),
+            (make_flow([(polynomial_bump(Fraction(1, 8), Fraction(1, 2), 60), Fraction(-1, 2))]), SIG, 3),
+            (make_flow([(hs[0], Fraction(3, 2)), (hs[2], Fraction(-5, 2)), (hs[1], 1)]), SIG, 3),
+            (make_flow([(calabi[0], 1)]), LK, 2),
+            (make_flow([(calabi[2], 1)]), linking_quasimorphism(1, 3), 3),
+            (make_flow([(rotation_profile(1), 1)], validate=False), LK, 2),
         ],
-        ids=["bump", "hs", "negative-time", "three-terms"],
+        ids=["bump", "hs", "negative-time", "three-terms", "lk12-n2", "lk13-n3", "rotation-lk12"],
     )
-    def test_monte_carlo_agrees(self, terms):
-        flow = make_flow(terms)
-        exact = math.pi**2 * float(signature_response(flow, 3))
-        est = estimate_phi_tilde_n(
-            flow, signature_quasimorphism(), 3, samples=2000, k_schedule=(1, 2), seed=11
-        )
+    def test_monte_carlo_agrees(self, flow, phi, n):
+        exact = exact_phi_tilde(flow, phi, n)
+        est = estimate_phi_tilde_n(flow, phi, n, samples=2000, k_schedule=(1, 2), seed=11)
         assert abs(est.value - exact) <= 3 * est.std_error
 
 

@@ -1,10 +1,6 @@
 import json
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +12,6 @@ from discbraid import experiments as experiments_mod
 from discbraid.experiments import (
     Report,
     battery,
-    calabi_profiles,
     check_bilipschitz_disc,
     check_calabi_proportionality,
     check_crossing_bound,
@@ -25,7 +20,7 @@ from discbraid.experiments import (
     check_word_length_bound,
     linear_fit,
 )
-from discbraid.flows import make_flow
+from discbraid.flows import calabi, make_flow, signature_response
 from discbraid.poly import mul
 from discbraid.profiles import RadialProfile, make_hs_profile, polynomial_bump
 from discbraid.quasimorphisms import linking_quasimorphism, signature_quasimorphism
@@ -242,26 +237,18 @@ class TestMonteCarloChecks:
         assert rep.details["spread"] == 0.0
         assert rep.details["ratios"][0] == rep.details["ratios"][1] == rep.details["constant"]
 
-    def test_calibrate_constants_script(self):
-        root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        proc = subprocess.run(
-            [sys.executable, str(root / "scripts" / "calibrate_constants.py"), "--samples", "200", "--seed", "5"],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.splitlines()
-        d = check_calabi_proportionality(calabi_profiles(), samples=200, seed=5, k_schedule=(4, 8)).details
-        assert lines[:5] == [
-            "2-strand estimate / Calabi:",
-            f"  constant = {d['constant']:+.5f}   spread = {d['spread']:.2%}",
-            *(f"  ratio {r:+.5f}  (value {e['value']:+.5f} +- {e['std_error']:.5f})" for r, e in zip(d["ratios"], d["estimates"])),
-        ]
-        rows = lines[6:]
-        assert len(rows) == 4
-        for row in rows:
-            exact, z = row.split("exact ")[1].split("  z = ")
-            assert math.isfinite(float(exact)) and math.isfinite(float(z))
+    def test_reports_carry_the_exact_oracle(self):
+        prof = polynomial_bump(Fraction(1, 4), Fraction(3, 4), 20)
+        family = [make_flow([(prof, t)]) for t in (1, 2, 3.0)]  # a float time has no exact value
+        d = check_lipschitz(family, signature_quasimorphism(), 3, p=2, samples=64, seed=1).details
+        assert d["exact"][:2] == [math.pi**2 * float(signature_response(f, 3)) for f in family[:2]]
+        assert d["exact"][2] is None and d["z"][2] is None
+        for x, z, est in zip(d["exact"][:2], d["z"], d["estimates"]):
+            assert z == (est["value"] - x) / est["std_error"]
+        d = check_calabi_proportionality(THREE_PROFILES, samples=64, seed=2, k_schedule=(1, 2)).details
+        for x, h in zip(d["exact"], THREE_PROFILES):
+            assert x == pytest.approx(-calabi(make_flow([(h, 1)])), rel=1e-12)
+        assert all(math.isfinite(z) for z in d["z"])
 
     def test_lipschitz_small(self):
         # a quick, low-sample pass over the machinery; the acceptance suite
@@ -337,6 +324,14 @@ class TestReport:
         rep = self.FAILED_HYPOTHESES[name]()
         assert not rep.passed and math.isnan(rep.margin)
         assert strict_json(rep.to_json())["margin"] is None
+
+    def test_zero_std_error_leaves_z_null(self):
+        # so shallow that no sampled pair winds a whole turn: every estimate is 0 +- 0
+        shallow = [bump(2, 6, 1), bump(1, 4, 1)]
+        rep = check_calabi_proportionality(shallow, samples=64, seed=2, k_schedule=(1, 2))
+        assert [e["std_error"] for e in rep.details["estimates"]] == [0.0, 0.0]
+        doc = strict_json(rep.to_json())["details"]
+        assert doc["z"] == [None, None] and all(x < 0 for x in doc["exact"])
 
     def test_verify_report_is_strict_json(self, monkeypatch, tmp_path, capsys):
         rep = self.FAILED_HYPOTHESES["singular"]()

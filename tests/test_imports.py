@@ -1,6 +1,6 @@
-"""No module of the package or its scripts imports another module's private
-names, or reads a private attribute of anything but ``self`` or ``cls``; no
-module exports a name it does not define."""
+"""No module of the package imports another module's private names, or
+reads a private attribute of anything but ``self`` or ``cls``; no module
+exports a name it does not define."""
 
 import ast
 import importlib
@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "discbraid").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "discbraid").glob("*.py"))
 
 
 def private_imports(path: Path) -> list[str]:
@@ -60,10 +60,7 @@ def test_no_private_attribute_reads_across_objects(path):
     assert private_attribute_reads(path) == []
 
 
-MODULES = sorted((ROOT / "src" / "discbraid").glob("*.py"))
-
-
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 def test_exports_exist(path):
     """Every name in a module's ``__all__`` is defined in that module."""
     module = importlib.import_module("discbraid" if path.stem == "__init__" else f"discbraid.{path.stem}")

