@@ -292,19 +292,18 @@ def build_parser() -> argparse.ArgumentParser:
         _add_global_flags(sp, suppress=True)
         return sp
 
-    sp = add_command("flow-apply", help="apply the time-one flow map to a point")
-    sp.add_argument("--flow", help="flow JSON file")
-    sp.add_argument("--time", default="1", help="time coefficient when using --profile")
-    sp.add_argument("--unchecked", action="store_true", help="skip the support check")
+    flow_args = argparse.ArgumentParser(add_help=False)  # the flow of --flow or --profile
+    flow_args.add_argument("--flow", help="flow JSON file")
+    flow_args.add_argument("--time", default="1", help="time coefficient when using --profile")
+    flow_args.add_argument("--unchecked", action="store_true", help="skip the support check")
+
+    sp = add_command("flow-apply", parents=[flow_args], help="apply the time-one flow map to a point")
     sp.add_argument("--point", required=True, help="x,y (or r,theta with --polar)")
     sp.add_argument("--polar", action="store_true")
     sp.set_defaults(func=cmd_flow_apply)
 
-    sp = add_command("braid-extract", help="braid word of a trajectory bundle")
+    sp = add_command("braid-extract", parents=[flow_args], help="braid word of a trajectory bundle")
     sp.add_argument("--trajectory", help="trajectory CSV to ingest")
-    sp.add_argument("--flow", help="flow JSON file (generates the loop bundle)")
-    sp.add_argument("--time", default="1")
-    sp.add_argument("--unchecked", action="store_true")
     sp.add_argument("--start", help="start configuration 'x,y;x,y;...'")
     sp.add_argument("--base", help="base configuration; defaults to a polygon")
     sp.add_argument("--samples-per-segment", type=int, help="subintervals of the flow orbit")
@@ -323,22 +322,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k-max", type=int, default=256)
     sp.set_defaults(func=cmd_invariant)
 
-    sp = add_command("estimate", help="Monte Carlo quasi-morphism estimates")
+    sp = add_command("estimate", parents=[flow_args], help="Monte Carlo quasi-morphism estimates")
     sp.add_argument("--phi", choices=("lk", "signature"), required=True)
     sp.add_argument("--i", type=int, default=1)
     sp.add_argument("--j", type=int, default=2)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--flow", help="flow JSON file")
-    sp.add_argument("--time", default="1")
-    sp.add_argument("--unchecked", action="store_true")
     sp.add_argument("--samples", type=int, default=10_000)
     sp.add_argument("--k-schedule", help="comma list; homogenized estimate when set")
     sp.set_defaults(func=cmd_estimate)
 
-    sp = add_command("lp-length", help="L^p isotopy length (upper bound report)")
-    sp.add_argument("--flow")
-    sp.add_argument("--time", default="1")
-    sp.add_argument("--unchecked", action="store_true")
+    sp = add_command("lp-length", parents=[flow_args], help="L^p isotopy length (upper bound report)")
     sp.add_argument("--trajectory")
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--mode", choices=("analytic", "sampled"), default="analytic")

@@ -236,7 +236,6 @@ def exact_phi_tilde(flow: FlowSpec, phi: QuasimorphismSpec, n: int) -> float:
     the linking number of any pair is -pi^(n-1) ``signature_response(flow, 2)`` / 2.
     On a compactly supported profile the latter is -pi^(n-2) times the Calabi
     value, but unlike -Calabi it is also right for a rigid rotation.
-    InputError for float times.
     """
     if phi.strands is None:
         return math.pi ** (n - 1) * float(signature_response(flow, n))
@@ -244,12 +243,12 @@ def exact_phi_tilde(flow: FlowSpec, phi: QuasimorphismSpec, n: int) -> float:
 
 
 def _oracle(flows: Sequence[FlowSpec], phi: QuasimorphismSpec, n: int, estimates) -> dict:
-    """Per member: ``exact``, the exact value (None for float times), and
-    ``z``, the signed estimate's deviation from it in standard errors (None
-    without an exact value or with a zero standard error)."""
-    exact = [exact_phi_tilde(f, phi, n) if f.times_are_rational() else None for f in flows]
+    """Per member: ``exact``, the exact value, and ``z``, the signed
+    estimate's deviation from it in standard errors (None with a zero
+    standard error)."""
+    exact = [exact_phi_tilde(f, phi, n) for f in flows]
     z = [
-        None if x is None or e.std_error == 0 else (e.value - x) / e.std_error
+        None if e.std_error == 0 else (e.value - x) / e.std_error
         for x, e in zip(exact, estimates)
     ]
     return {"exact": exact, "z": z}

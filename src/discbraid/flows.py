@@ -5,7 +5,9 @@ the Hamiltonian H_i(x) = h_i(|x|^2) generates, in polar coordinates, the
 exact flow (r, theta) -> (r, theta + 2 t h_i'(r^2)).  Everything downstream
 leans on that closed form: trajectories are sampled analytically, the
 Calabi value is 2 pi sum_i t_i * int h_i, and L^p lengths reduce to the
-one-dimensional integral of y^{p/2} |sum_i 2 t_i h_i'(y)|^p.
+one-dimensional integral of y^{p/2} |sum_i 2 t_i h_i'(y)|^p.  Times are
+exact Fractions (a float time is the dyadic rational it stores), so every
+flow has its exact Calabi value, signature responses and speed moments.
 """
 
 from __future__ import annotations
@@ -56,12 +58,7 @@ class FlowSpec:
     terms: tuple[tuple[RadialProfile, Fraction], ...]
 
     def scaled(self, k) -> "FlowSpec":
-        k = Fraction(k) if isinstance(k, (int, Fraction)) else k
-        try:
-            terms = [(h, t * k) for h, t in self.terms]
-        except OverflowError:  # a float time times a huge k
-            raise InputError("scaled time coefficient is too large for a float") from None
-        return make_flow(terms, validate=False)
+        return make_flow([(h, t * Fraction(k)) for h, t in self.terms], validate=False)
 
     def angular_rate_float(self, y):
         """2 sum_i t_i h_i'(y) on float arrays; the angle advance per unit time."""
@@ -76,9 +73,6 @@ class FlowSpec:
         """Upper bound on the angular speed anywhere in the disc."""
         return sum(2.0 * abs(float(t)) * h.max_abs_derivative for h, t in self.terms)
 
-    def times_are_rational(self) -> bool:
-        return all(isinstance(t, (int, Fraction)) for _, t in self.terms)
-
 
 def make_flow(terms, validate: bool = True) -> FlowSpec:
     """Build a flow from (profile, time) pairs.
@@ -86,7 +80,7 @@ def make_flow(terms, validate: bool = True) -> FlowSpec:
     With ``validate`` set, each profile must vanish near the centre and the
     boundary so the flow is an honest compactly supported diffeomorphism;
     analytic conveniences like the rigid rotation need ``validate=False``.
-    Every time must be a finite float, or a rational that converts to one.
+    Each time becomes the exact Fraction it denotes and must fit a float.
     """
     packed = []
     for h, t in terms:
@@ -96,8 +90,11 @@ def make_flow(terms, validate: bool = True) -> FlowSpec:
             raise InputError(
                 f"profile supported on {h.support} does not vanish near r=0 and r=1"
             )
-        t = Fraction(t) if isinstance(t, (int, str, Fraction)) else t
-        if not abs(t) <= sys.float_info.max:  # exact for a Fraction; False for inf and NaN
+        try:
+            t = Fraction(t)  # raises for NaN, inf, "1/0" and non-numbers
+        except (TypeError, ValueError, ArithmeticError):
+            t = math.inf
+        if not abs(t) <= sys.float_info.max:
             raise InputError("flow time coefficients must be finite and within float range")
         packed.append((h, t))
     return FlowSpec(tuple(packed))
@@ -153,17 +150,13 @@ def flow_path(spec: FlowSpec, points, s_values):
 
 
 def calabi_coefficient(spec: FlowSpec) -> Fraction:
-    """Exact coefficient c with Calabi value = pi * c; needs rational times."""
-    if not spec.times_are_rational():
-        raise InputError("exact Calabi value needs rational time coefficients")
-    return sum((2 * Fraction(t) * h.moment(0) for h, t in spec.terms), Fraction(0))
+    """Exact coefficient c with Calabi value = pi * c."""
+    return sum((2 * t * h.moment(0) for h, t in spec.terms), Fraction(0))
 
 
 def calabi(spec: FlowSpec) -> float:
     """Calabi value 2 sum_i t_i int_D H_i = 2 pi sum_i t_i int_0^1 h_i."""
-    if spec.times_are_rational():
-        return math.pi * float(calabi_coefficient(spec))
-    return math.pi * sum(2.0 * float(t) * float(h.moment(0)) for h, t in spec.terms)
+    return math.pi * float(calabi_coefficient(spec))
 
 
 def signature_moment(profile: RadialProfile, n: int) -> Fraction:
@@ -195,16 +188,14 @@ def signature_response(spec: FlowSpec, n: int) -> Fraction:
 
     A point at y = r^2 turns at the rate 2 t h'(y), so the value is
     sum_terms t int_0^1 h' P_n with P_n = ``signature_weight(n)``.  There is
-    no boundary term, so a rigid rotation works too.  Needs rational times.
+    no boundary term, so a rigid rotation works too.
     """
-    if not spec.times_are_rational():
-        raise InputError("exact signature response needs rational time coefficients")
     weight = signature_weight(n)
     total = Fraction(0)
     for h, t in spec.terms:
         d = h.derivative()
         for k, piece in enumerate(d.pieces):
-            total += Fraction(t) * integral(mul(piece, weight), d.breakpoints[k], d.breakpoints[k + 1])
+            total += t * integral(mul(piece, weight), d.breakpoints[k], d.breakpoints[k + 1])
     return total
 
 
@@ -219,7 +210,7 @@ def _unit_rate_pieces(spec: FlowSpec):
     the union of the terms' breakpoints the exact polynomial
     rate = sum_i (t_i / t_max) h_i', so the angular rate is 2 t_max rate.
     No pieces when t_max is 0."""
-    t_max = max((abs(Fraction(t)) for _, t in spec.terms), default=Fraction(0))
+    t_max = max((abs(t) for _, t in spec.terms), default=Fraction(0))
     if t_max == 0:
         return t_max, []
     breakpoints = sorted({b for h, _ in spec.terms for b in h.breakpoints})
@@ -229,7 +220,7 @@ def _unit_rate_pieces(spec: FlowSpec):
         for h, t in spec.terms:
             d = h.derivative()
             piece = d.pieces[bisect.bisect_right(d.breakpoints, lo) - 1]
-            rate = add(rate, tuple(Fraction(t) / t_max * c for c in piece))
+            rate = add(rate, tuple(t / t_max * c for c in piece))
         pieces.append((lo, hi, rate))
     return t_max, pieces
 
@@ -278,8 +269,6 @@ def lp_speed_moment_exact(spec: FlowSpec, p: int) -> Fraction:
     """
     if p < 2 or p % 2 != 0:
         raise InputError("exact speed moments need even integer p >= 2")
-    if not spec.times_are_rational():
-        raise InputError("exact speed moments need rational time coefficients")
     t_max, pieces = _unit_rate_pieces(spec)
     total = Fraction(0)
     for lo, hi, rate in pieces:
@@ -299,14 +288,10 @@ def lp_length_exact_even(spec: FlowSpec, p: int) -> float:
 
 
 def flow_to_json(spec: FlowSpec) -> str:
-    terms = []
-    for h, t in spec.terms:
-        entry = {"profile": json.loads(profile_to_json(h))}
-        if isinstance(t, Fraction):
-            entry["time"] = [t.numerator, t.denominator]
-        else:
-            entry["time"] = float(t)
-        terms.append(entry)
+    terms = [
+        {"profile": json.loads(profile_to_json(h)), "time": [t.numerator, t.denominator]}
+        for h, t in spec.terms
+    ]
     return json.dumps({"terms": terms}, indent=2)
 
 

@@ -5,13 +5,16 @@ its velocity field.  Because the maps are area-preserving, the spatial
 integral may be taken over initial conditions, so the estimator tracks a
 fixed cloud of uniformly sampled points, differentiates their motion in
 time by centred differences, and applies the trapezoid rule in t on a
-fixed grid of ``time_steps`` points.  Richardson refinement halves only the
-difference step, until a halving moves the value by less than 0.1% or
-MAX_REFINEMENTS halvings are spent; a run that never settles returns its
-last value without saying so.  The trapezoid grid never changes, so its
-error is not measured.  A radial flow's angular rate depends only on
-|x|^2, so ``as_isotopy`` computes it once per cloud, not once per time
-evaluation.
+fixed grid of ``time_steps`` points.  The spatial norm at each time,
+(pi * mean(speed^p))^(1/p), is taken with the largest speed factored out,
+so a finite length never overflows on the way; a length or error bar that
+is not finite is refused with InputError.  Richardson refinement halves
+only the difference step, until a halving moves the value by less than
+0.1% or MAX_REFINEMENTS halvings are spent; a run that never settles
+returns its last value without saying so.  The trapezoid grid never
+changes, so its error is not measured.  A radial flow's angular rate
+depends only on |x|^2, so ``as_isotopy`` computes it once per cloud, not
+once per time evaluation.
 
 These lengths are upper bounds for the right-invariant metric (which is an
 infimum over all isotopies); every consumer in this package treats them as
@@ -110,7 +113,7 @@ def lp_length_sampled(
     slightly outside [0, 1] (centered differences).  The spatial cloud is
     drawn once from the uniform measure and reused across the whole time
     grid; the reported standard error conservatively treats the per-time
-    errors as fully correlated.
+    errors as fully correlated.  InputError for a non-finite value or error.
     """
     check_lp_exponent(p)
     if not 2 <= time_steps <= MAX_TIME_STEPS:
@@ -132,27 +135,34 @@ def lp_length_sampled(
         for t, w in zip(times, weights):
             fwd = apply(t + step, cloud)
             back = apply(t - step, cloud)
-            speed = np.hypot(*(fwd - back).T) / (2.0 * step)
-            powers = speed**p
-            mean = float(np.mean(powers))
-            if mean == 0.0:
-                continue
-            inner = (math.pi * mean) ** (1.0 / p)
-            value += w * inner
-            if space_samples > 1:
-                sigma_mean = float(np.std(powers, ddof=1)) / math.sqrt(space_samples)
-                error += w * inner * sigma_mean / (p * mean)
+            norm, rel_error = _lp_norm(np.hypot(*(fwd - back).T) / (2.0 * step), p)
+            value += w * norm
+            error += w * norm * rel_error
         return value, error
 
-    value, error = evaluate(dt)
-    for _ in range(MAX_REFINEMENTS):
-        dt *= 0.5
-        refined, error = evaluate(dt)
-        if abs(refined - value) <= RICHARDSON_RTOL * max(abs(refined), 1e-300):
-            value = refined
-            break
-        value = refined
+    with np.errstate(all="ignore"):  # a non-finite length is refused below
+        value, error = evaluate(dt)
+        for _ in range(MAX_REFINEMENTS):
+            dt *= 0.5
+            previous = value
+            value, error = evaluate(dt)
+            if abs(value - previous) <= RICHARDSON_RTOL * max(abs(value), 1e-300):
+                break
+    if not (math.isfinite(value) and math.isfinite(error)):
+        raise InputError("L^p length overflows float arithmetic")
     return LengthEstimate(value, error, time_steps, space_samples, seed)
+
+
+def _lp_norm(speed: np.ndarray, p: float) -> tuple[float, float]:
+    """(pi * mean(speed^p))^(1/p) and its relative Monte Carlo error, with
+    the largest speed factored out so no finite norm overflows on the way."""
+    top = float(np.max(speed))
+    if top == 0.0:
+        return 0.0, 0.0
+    powers = (speed / top) ** p
+    mean = float(np.mean(powers))
+    sigma_mean = float(np.std(powers, ddof=1)) / math.sqrt(speed.size) if speed.size > 1 else 0.0
+    return top * (math.pi * mean) ** (1.0 / p), sigma_mean / (p * mean)
 
 
 def lp_length_of_bundle(bundle: TrajectoryBundle, p: float) -> float:
@@ -164,15 +174,10 @@ def lp_length_of_bundle(bundle: TrajectoryBundle, p: float) -> float:
     InputError when the length overflows float arithmetic.
     """
     check_lp_exponent(p)
-    pos = bundle.positions
-    times = bundle.times
-    value = 0.0
-    with np.errstate(over="ignore"):  # an overflow leaves inf, refused below
-        for k in range(times.size - 1):
-            dt = times[k + 1] - times[k]
-            step = pos[:, k + 1, :] - pos[:, k, :]
-            speed = np.hypot(step[:, 0], step[:, 1]) / dt
-            value += dt * (math.pi * float(np.mean(speed**p))) ** (1.0 / p)
+    dts = np.diff(bundle.times)
+    with np.errstate(all="ignore"):  # an overflow leaves inf or NaN, refused below
+        speeds = np.hypot(*np.diff(bundle.positions, axis=1).T) / dts[:, None]  # (T-1, n)
+        value = sum((dt * _lp_norm(speed, p)[0] for dt, speed in zip(dts, speeds)), 0.0)
     if not math.isfinite(value):
         raise InputError("L^p length overflows float arithmetic")
     return value

@@ -335,6 +335,40 @@ class TestLpLength:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "InputError"
 
+    @pytest.mark.filterwarnings("error")
+    def test_high_p_sampled_length_is_finite(self, capsys, tmp_path):
+        # speed**400 overflows a float, speed/max(speed) to the 400 does not
+        profile = tmp_path / "hs.json"
+        assert run_cli(capsys, "make-hs", "--s", "7/24", "--out", str(profile))[0] == 0
+        code, out, _ = run_cli(
+            capsys, "lp-length", "--profile", str(profile), "--time", "1000", "--p", "400",
+            "--mode", "sampled", "--space-samples", "1000",
+        )
+        assert code == 0
+        payload = json.loads(out.split("\n", 1)[1], parse_constant=lambda c: pytest.fail(f"non-strict JSON: {c}"))
+        assert math.isfinite(payload["value"]) and payload["value"] > 0
+        assert math.isfinite(payload["std_error"])
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_sampled_length_refused(self, capsys, tmp_path):
+        # the angular rate overflows to inf, so every moved point is NaN
+        profile = tmp_path / "hs.json"
+        assert run_cli(capsys, "make-hs", "--s", "7/24", "--out", str(profile))[0] == 0
+        code, out, err = run_cli(
+            capsys, "lp-length", "--profile", str(profile), "--time", "1e308", "--p", "2",
+            "--mode", "sampled", "--space-samples", "100",
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "InputError"
+
+    def test_high_p_trajectory_length_is_finite(self, capsys, tmp_path):
+        # one of two strands moves by 10 in unit time: (pi * 10**400 / 2)**(1/400)
+        traj = tmp_path / "fast.csv"
+        traj.write_text("2,2\n0.0,0,0.0,0.0\n0.0,1,0.5,0.5\n1.0,0,10.0,0.0\n1.0,1,0.5,0.5\n")
+        code, out, _ = run_cli(capsys, "lp-length", "--trajectory", str(traj), "--p", "400")
+        assert code == 0
+        assert payload_of(out)["value"] == pytest.approx(10 * (math.pi / 2) ** (1 / 400), rel=1e-12)
+
     def test_sampled_close_to_analytic(self, capsys, bump_flow_file):
         _, out_a, _ = run_cli(capsys, "lp-length", "--flow", bump_flow_file, "--p", "2")
         analytic = payload_of(out_a)["value"]

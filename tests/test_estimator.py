@@ -297,6 +297,20 @@ class TestEstimatePhiTilde:
         with pytest.raises(InputError):
             estimate_phi_tilde_n(make_flow([]), LK, 2, samples=10, k_schedule=(2, 2))
 
+    def test_only_the_last_two_entries_are_estimated(self, monkeypatch):
+        flow = bump_flow(scale=60)
+        calls = []
+        estimate = est_mod.estimate_phi_n
+
+        def spy(scaled, *args, **kwargs):
+            calls.append(scaled.terms[0][1])
+            return estimate(scaled, *args, **kwargs)
+
+        monkeypatch.setattr(est_mod, "estimate_phi_n", spy)
+        est = estimate_phi_tilde_n(flow, LK, 2, samples=200, k_schedule=(1, 2, 4), seed=3)
+        assert calls == [2, 4]
+        assert est.k_schedule == (1, 2, 4)
+
     def test_stable_across_k_for_radial_flows(self):
         flow = bump_flow(scale=60)
         est_a = estimate_phi_tilde_n(flow, LK, 2, samples=3000, k_schedule=(2, 4), seed=7)

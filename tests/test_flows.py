@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -94,8 +95,8 @@ class TestFlowApply:
             make_flow([(rotation_profile(1), 1)])
 
     @pytest.mark.parametrize(
-        "t", [math.inf, -math.inf, math.nan, Fraction(10**400), "1e400", 10**400],
-        ids=["inf", "-inf", "nan", "fraction", "str", "int"],
+        "t", [math.inf, -math.inf, math.nan, Fraction(10**400), "1e400", 10**400, "abc", "1/0", None],
+        ids=["inf", "-inf", "nan", "fraction", "str", "int", "non-number-str", "zero-denominator", "none"],
     )
     def test_time_must_be_a_finite_float(self, t):
         h = polynomial_bump(Fraction(1, 4), Fraction(3, 4), 20)
@@ -104,10 +105,10 @@ class TestFlowApply:
 
     def test_scaled_keeps_time_types(self):
         h = polynomial_bump(Fraction(1, 4), Fraction(3, 4), 20)
-        assert make_flow([(h, Fraction(3, 2))]).scaled(4).terms == ((h, Fraction(6)),)
-        assert make_flow([(h, 1.5)]).scaled(4).terms == ((h, 6.0),)
-        for t in (Fraction(3, 2), 1.5):
-            with pytest.raises(InputError):
+        for t in (Fraction(3, 2), 1.5):  # a float time is held as the Fraction it stores
+            ((_, scaled),) = make_flow([(h, t)]).scaled(4).terms
+            assert type(scaled) is Fraction and scaled == 6
+            with pytest.raises(InputError, match="within float range"):
                 make_flow([(h, t)]).scaled(10**400)
 
 
@@ -213,9 +214,13 @@ class TestSignatureResponse:
         # one radian is 1/(2 pi) full twists, and Delta_3^2 homogenizes to -4
         assert signature_response(rotation_flow(1), 3) == -2
 
-    def test_float_time_rejected(self):
-        with pytest.raises(InputError):
-            signature_response(make_flow([(self.CRITERION_7[0], 0.5)]), 3)
+    @pytest.mark.parametrize("x", [0.5, 2.3])
+    def test_float_time_is_the_rational_it_stores(self, x):
+        h = self.CRITERION_7[0]
+        as_float, as_fraction = make_flow([(h, x)]), make_flow([(h, Fraction(x))])
+        assert signature_response(as_float, 3) == signature_response(as_fraction, 3)
+        assert calabi_coefficient(as_float) == calabi_coefficient(as_fraction)
+        assert lp_speed_moment_exact(as_float, 2) == lp_speed_moment_exact(as_fraction, 2)
 
     def test_n_validation(self):
         with pytest.raises(InputError):
@@ -308,9 +313,14 @@ class TestFlowFiles:
         flow = make_flow([(polynomial_bump(Fraction(1, 4), Fraction(3, 4), 96), Fraction(2, 3))])
         assert flow_from_json(flow_to_json(flow)) == flow
 
-    def test_unchecked_flag(self):
-        import json
+    def test_float_time_written_as_the_rational_it_stores(self):
+        h = polynomial_bump(Fraction(1, 4), Fraction(3, 4), 96)
+        text = flow_to_json(make_flow([(h, 2.3)]))
+        x = Fraction(2.3)
+        assert json.loads(text)["terms"][0]["time"] == [x.numerator, x.denominator]
+        assert flow_from_json(text) == make_flow([(h, x)])
 
+    def test_unchecked_flag(self):
         doc = json.loads(flow_to_json(FlowSpec(((rotation_profile(1), Fraction(1)),))))
         doc["unchecked"] = True
         assert flow_from_json(json.dumps(doc)).terms[0][0] == rotation_profile(1)
