@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 from .errors import InputError
 from .poly import Poly, add, integral, mul, real_roots, shift
@@ -229,32 +228,43 @@ def lp_length_radial(spec: FlowSpec, p: float) -> float:
     """L^p length of the isotopy [0,1] ∋ s -> flow at times s*t_i.
 
     The speed field is autonomous, so the length is
-    2 * pi^{1/p} * (int_0^1 y^{p/2} |sum_i t_i h_i'(y)|^p dy)^{1/p},
-    evaluated as t_max times the same expression for the rate divided by
-    t_max = max |t_i|, by adaptive quadrature split at the breakpoints of
-    every term and at the sign changes of the combined rate.  InputError
+    2 * pi^{1/p} * (int_0^1 y^{p/2} |sum_i t_i h_i'(y)|^p dy)^{1/p}.  With
+    rate = sum_i (t_i / t_max) h_i', t_max = max |t_i|, and peak the largest
+    sqrt(y) |rate|, found at the piece edges and the critical points of
+    y rate^2, it is 2 t_max peak (pi int_0^1 (sqrt(y) |rate| / peak)^p dy)^{1/p},
+    so no power underflows or overflows (the ratio is capped at 1, as the
+    float peak may round low).  Adaptive quadrature is split at the
+    breakpoints, the sign changes of the rate and the critical points, and
+    for p >= 1000 also at span / 10^j from each edge and critical point, as
+    the peak narrows like 1/p.  scipy loads on the first call.  InputError
     when the length overflows a float.
     """
+    from scipy import integrate  # the one scipy use: nothing else loads it
+
     check_lp_exponent(p)
     t_max, pieces = _unit_rate_pieces(spec)
-    total = 0.0
+    levels = int(math.log10(p)) - 2
+    peak, total, spans = 0.0, 0.0, []
     for a, b, rate in pieces:
         if not any(rate):
             continue
+        lo, hi = float(a), float(b)
         coeffs = np.array([float(c) for c in reversed(rate)])
-        edges = [float(a)] + real_roots(coeffs, float(a), float(b)) + [float(b)]
+        # (y rate^2)' = rate (rate + 2 y rate'), and rate + 2 y rate' = sum_k (2k + 1) c_k y^k
+        critical = real_roots([float((2 * k + 1) * c) for k, c in enumerate(rate)][::-1], lo, hi)
+        marks = [lo, hi] + critical
+        peak = max([peak] + [math.sqrt(y) * abs(float(np.polyval(coeffs, y))) for y in marks])
+        graded = (m + s * (hi - lo) / 10.0**j for m in marks for s in (-1, 1) for j in range(1, levels + 1))
+        spans.append((coeffs, sorted({*marks, *real_roots(coeffs, lo, hi), *(y for y in graded if lo < y < hi)})))
+    if peak == 0.0:
+        return 0.0
+    for coeffs, edges in spans:
         for lo, hi in zip(edges, edges[1:]):
-            quad_out = integrate.quad(
-                lambda y: y ** (p / 2.0) * abs(np.polyval(coeffs, y)) ** p,
-                lo,
-                hi,
-                epsabs=1e-14,
-                epsrel=1e-12,
-                limit=200,
-                full_output=1,
-            )
-            total += quad_out[0]
-    length = float(t_max) * 2.0 * math.pi ** (1.0 / p) * total ** (1.0 / p)
+            total += integrate.quad(
+                lambda y: min(1.0, math.sqrt(y) * abs(np.polyval(coeffs, y)) / peak) ** p,
+                lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200, full_output=1,
+            )[0]
+    length = float(t_max) * 2.0 * peak * (math.pi * total) ** (1.0 / p)
     if not math.isfinite(length):
         raise InputError("L^p length overflows float arithmetic")
     return length
@@ -280,8 +290,19 @@ def lp_speed_moment_exact(spec: FlowSpec, p: int) -> Fraction:
 
 
 def lp_length_exact_even(spec: FlowSpec, p: int) -> float:
-    """Float L^p length from the exact even-p speed moment."""
-    return math.pi ** (1.0 / p) * float(lp_speed_moment_exact(spec, p)) ** (1.0 / p)
+    """Float L^p length pi^{1/p} moment^{1/p} from the exact even-p speed
+    moment.  A moment outside the normal float range is written exactly as
+    m 2^{e p + r}, m in [1/2, 2), 0 <= r < p, and rooted piece by piece, so
+    only a length beyond float range fails (InputError)."""
+    moment = lp_speed_moment_exact(spec, p)
+    if not moment or sys.float_info.min <= moment <= sys.float_info.max:
+        return math.pi ** (1.0 / p) * float(moment) ** (1.0 / p)
+    e, r = divmod(moment.numerator.bit_length() - moment.denominator.bit_length(), p)
+    root = float(moment / Fraction(2) ** (e * p + r)) ** (1.0 / p) * 2.0 ** (r / p)
+    try:
+        return math.ldexp(math.pi ** (1.0 / p) * root, e)
+    except OverflowError:
+        raise InputError("L^p length overflows float arithmetic") from None
 
 
 # -- flow file format ------------------------------------------------------

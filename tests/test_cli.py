@@ -327,6 +327,24 @@ class TestLpLength:
         assert json.loads(err)["error"] == "InputError"
 
     @pytest.mark.filterwarnings("error")
+    def test_high_p_analytic_length(self, capsys, tmp_path):
+        # y^150 |rate|^300 is below 1e-330 everywhere: a float sum of it is 0
+        profile = tmp_path / "bump2.json"
+        profile.write_text(profile_to_json(polynomial_bump(Fraction(1, 4), Fraction(3, 4), 2)))
+        code, out, err = run_cli(capsys, "lp-length", "--profile", str(profile), "--time", "1", "--p", "300")
+        assert code == 0 and err == ""
+        assert payload_of(out)["value"] == pytest.approx(0.0765523077430963, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_high_p_analytic_length_is_finite(self, capsys, tmp_path):
+        # |rate|^2000 overflows a float, the length is about 2.957
+        profile = tmp_path / "hs.json"
+        assert run_cli(capsys, "make-hs", "--s", "1/4", "--out", str(profile))[0] == 0
+        code, out, err = run_cli(capsys, "lp-length", "--profile", str(profile), "--time", "1", "--p", "2000")
+        assert code == 0 and err == ""
+        assert payload_of(out)["value"] == pytest.approx(2.9568, rel=1e-4)
+
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_trajectory_length_refused(self, capsys, tmp_path):
         # a strand moves by 1 in a subnormal time step: its speed overflows
         traj = tmp_path / "traj.csv"

@@ -271,6 +271,40 @@ class TestLpLength:
             ) ** (1 / p)
             assert exact == pytest.approx(brute, rel=1e-6)
 
+    def test_high_p_matches_exact_even(self):
+        flow = make_flow([(polynomial_bump(Fraction(1, 4), Fraction(3, 4), 20), 1)])
+        assert lp_length_radial(flow, 100) == pytest.approx(lp_length_exact_even(flow, 100), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [300, 3000])
+    def test_high_p_scaling_and_sup_bound(self, p):
+        # y^(p/2) |rate|^p underflows here; the length must still scale with the profile
+        h2 = polynomial_bump(Fraction(1, 4), Fraction(3, 4), 2)
+        small = lp_length_radial(make_flow([(h2, 1)]), p)
+        large = lp_length_radial(make_flow([(polynomial_bump(Fraction(1, 4), Fraction(3, 4), 20), 1)]), p)
+        assert large == pytest.approx(10 * small, rel=1e-12)
+        ys = np.linspace(0.25, 0.75, 200001)
+        sup = 2 * float(np.max(np.sqrt(ys) * np.abs(h2.derivative().eval_float(ys))))
+        assert 0.95 * sup < small <= math.pi ** (1 / p) * sup
+
+    @pytest.mark.parametrize("p", [1e6, 1e300])
+    def test_rotation_closed_form_at_huge_p(self, p):
+        # the integrand's mass sits within about 1/p of y = 1
+        flow = rotation_flow(Fraction(13, 10))
+        want = 1.3 * math.exp(math.log(2 * math.pi / (p + 2)) / p)
+        assert lp_length_radial(flow, p) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [Fraction(1, 10000), 10**6])
+    def test_exact_even_outside_float_range(self, t):
+        # the p = 100 moment is about 1e-413 at t = 1/10000 and 1e587 at t = 10^6
+        flow = make_flow([(polynomial_bump(Fraction(1, 4), Fraction(3, 4), 20), t)])
+        assert lp_length_exact_even(flow, 100) == pytest.approx(lp_length_radial(flow, 100), rel=1e-12)
+
+    def test_exact_even_overflow_refused(self):
+        flow = make_flow([(polynomial_bump(Fraction(1, 4), Fraction(3, 4), 96), 10**308)])
+        for length in (lp_length_exact_even, lp_length_radial):
+            with pytest.raises(InputError, match="overflows"):
+                length(flow, 2)
+
     def test_exact_even_validation(self):
         h = polynomial_bump(Fraction(1, 4), Fraction(3, 4), 3)
         with pytest.raises(InputError):

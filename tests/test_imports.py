@@ -1,12 +1,19 @@
 """No module of the package imports another module's private names, or
 reads a private attribute of anything but ``self`` or ``cls``; no module
-exports a name it does not define."""
+exports a name it does not define; only the analytic L^p length loads scipy."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from discbraid.flows import lp_length_radial, make_flow
+from discbraid.profiles import polynomial_bump
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "discbraid").glob("*.py"))
@@ -65,3 +72,37 @@ def test_exports_exist(path):
     """Every name in a module's ``__all__`` is defined in that module."""
     module = importlib.import_module("discbraid" if path.stem == "__init__" else f"discbraid.{path.stem}")
     assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
+
+
+SCIPY_FREE_RUN = """
+import sys
+from fractions import Fraction
+
+import discbraid.cli
+from discbraid.estimator import estimate_phi_tilde_n
+from discbraid.flows import lp_length_radial, make_flow
+from discbraid.lengths import lp_length_sampled
+from discbraid.profiles import polynomial_bump
+from discbraid.quasimorphisms import linking_quasimorphism, signature_quasimorphism
+
+flow = make_flow([(polynomial_bump(Fraction(1, 4), Fraction(3, 4), 20), 1)])
+estimate_phi_tilde_n(flow, signature_quasimorphism(), 3, samples=40, k_schedule=(1, 2), seed=1)
+estimate_phi_tilde_n(flow, linking_quasimorphism(1, 2), 2, samples=40, k_schedule=(1, 2), seed=1)
+lp_length_sampled(flow, 2, space_samples=256, seed=0)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+print(repr(lp_length_radial(flow, 2)))
+"""
+
+
+def test_only_the_analytic_length_loads_scipy():
+    """The CLI, the estimators and the sampled length run without scipy;
+    lp_length_radial loads it on its first call.  A fresh interpreter is
+    needed because other test modules import scipy into this one."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_RUN], capture_output=True, text=True, env=env, check=True, timeout=120
+    )
+    loaded, length = run.stdout.splitlines()
+    assert loaded == "[]"
+    flow = make_flow([(polynomial_bump(Fraction(1, 4), Fraction(3, 4), 20), 1)])
+    assert float(length) == lp_length_radial(flow, 2)
