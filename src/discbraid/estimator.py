@@ -31,7 +31,6 @@ identical output for any worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Sequence
@@ -188,6 +187,8 @@ def estimate_phi_n(
     counts = [min(CHUNK_SAMPLES, samples - start) for start in range(0, samples, CHUNK_SAMPLES)]
     chunk = partial(_phi_chunk, flow, phi, n, seed)
     if threads > 1 and pair is None and len(counts) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(chunk, range(len(counts)), counts))
     else:

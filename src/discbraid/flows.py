@@ -49,6 +49,15 @@ __all__ = [
 # radian; at this bound it is about 1e-7 rad.
 MAX_ROTATION = 1e9
 
+# The analytic L^p length integrates with an adaptive 16-point Gauss-Legendre
+# rule.  An interval closes when its halves agree with it to p * GAUSS_RTOL of
+# the whole integral: the p-th root divides that relative error by p, and a
+# float p-th power carries a relative rounding error of about p ulps.  More
+# than MAX_BISECTIONS bisections for one length is a failure.
+GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+GAUSS_RTOL = 1e-14
+MAX_BISECTIONS = 10_000
+
 
 @dataclass(frozen=True)
 class FlowSpec:
@@ -224,6 +233,43 @@ def _unit_rate_pieces(spec: FlowSpec):
     return t_max, pieces
 
 
+def _speed_integral(spans, peak: float, p: float) -> float:
+    """Sum over spans (coeffs, edges) of the integrals of
+    min(1, sqrt(y) |rate(y)| / peak)^p between consecutive edges, where rate
+    has the float coefficients ``coeffs`` (descending).  Adaptive 16-point
+    Gauss-Legendre: each round bisects every open interval at once and closes
+    those whose halves agree with the whole to p * GAUSS_RTOL of the running
+    total.  InputError once MAX_BISECTIONS intervals have been bisected."""
+    width = max(len(coeffs) for coeffs, _ in spans)
+    rows = np.array([np.pad(coeffs, (width - len(coeffs), 0)) for coeffs, edges in spans for _ in edges[1:]])
+    lo = np.array([y for _, edges in spans for y in edges[:-1]])
+    hi = np.array([y for _, edges in spans for y in edges[1:]])
+
+    def rule(rows, lo, hi):
+        half = 0.5 * (hi - lo)
+        y = (lo + half)[:, None] + half[:, None] * GAUSS_NODES
+        rate = np.zeros_like(y)
+        for k in range(width):  # Horner, as np.polyval
+            rate = rate * y + rows[:, k, None]
+        return half * (np.minimum(1.0, np.sqrt(y) * np.abs(rate) / peak) ** p @ GAUSS_WEIGHTS)
+
+    whole, closed, bisected = rule(rows, lo, hi), 0.0, 0
+    while lo.size:
+        mid = 0.5 * (lo + hi)
+        left, right = rule(rows, lo, mid), rule(rows, mid, hi)
+        halves = left + right
+        done = np.abs(halves - whole) <= GAUSS_RTOL * p * (closed + halves.sum())
+        closed += float(halves[done].sum())
+        split = ~done
+        bisected += int(split.sum())
+        if bisected > MAX_BISECTIONS:
+            raise InputError("analytic L^p length did not converge")
+        rows = np.concatenate((rows[split], rows[split]))
+        lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
+        whole = np.concatenate((left[split], right[split]))
+    return closed
+
+
 def lp_length_radial(spec: FlowSpec, p: float) -> float:
     """L^p length of the isotopy [0,1] ∋ s -> flow at times s*t_i.
 
@@ -233,18 +279,16 @@ def lp_length_radial(spec: FlowSpec, p: float) -> float:
     sqrt(y) |rate|, found at the piece edges and the critical points of
     y rate^2, it is 2 t_max peak (pi int_0^1 (sqrt(y) |rate| / peak)^p dy)^{1/p},
     so no power underflows or overflows (the ratio is capped at 1, as the
-    float peak may round low).  Adaptive quadrature is split at the
-    breakpoints, the sign changes of the rate and the critical points, and
-    for p >= 1000 also at span / 10^j from each edge and critical point, as
-    the peak narrows like 1/p.  scipy loads on the first call.  InputError
-    when the length overflows a float.
+    float peak may round low).  The integral (``_speed_integral``) is split
+    at the breakpoints, the sign changes of the rate and the critical points,
+    and for p >= 1000 also at span / 10^j from each edge and critical point,
+    as the peak narrows like 1/p.  InputError when the length overflows a
+    float or the integral does not converge.
     """
-    from scipy import integrate  # the one scipy use: nothing else loads it
-
     check_lp_exponent(p)
     t_max, pieces = _unit_rate_pieces(spec)
     levels = int(math.log10(p)) - 2
-    peak, total, spans = 0.0, 0.0, []
+    peak, spans = 0.0, []
     for a, b, rate in pieces:
         if not any(rate):
             continue
@@ -258,13 +302,7 @@ def lp_length_radial(spec: FlowSpec, p: float) -> float:
         spans.append((coeffs, sorted({*marks, *real_roots(coeffs, lo, hi), *(y for y in graded if lo < y < hi)})))
     if peak == 0.0:
         return 0.0
-    for coeffs, edges in spans:
-        for lo, hi in zip(edges, edges[1:]):
-            total += integrate.quad(
-                lambda y: min(1.0, math.sqrt(y) * abs(np.polyval(coeffs, y)) / peak) ** p,
-                lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200, full_output=1,
-            )[0]
-    length = float(t_max) * 2.0 * peak * (math.pi * total) ** (1.0 / p)
+    length = float(t_max) * 2.0 * peak * (math.pi * _speed_integral(spans, peak, p)) ** (1.0 / p)
     if not math.isfinite(length):
         raise InputError("L^p length overflows float arithmetic")
     return length
@@ -275,17 +313,24 @@ def lp_speed_moment_exact(spec: FlowSpec, p: int) -> Fraction:
 
     For even p the absolute value in the speed integrand is a polynomial,
     so the moment is an exact rational; the L^p length of the combined
-    isotopy is pi^{1/p} * moment^{1/p}.
+    isotopy is pi^{1/p} * moment^{1/p}.  Each piece's rate is scaled to
+    integer coefficients, so its p-th power is taken in integers.
     """
     if p < 2 or p % 2 != 0:
         raise InputError("exact speed moments need even integer p >= 2")
     t_max, pieces = _unit_rate_pieces(spec)
     total = Fraction(0)
     for lo, hi, rate in pieces:
-        power_poly = (Fraction(1),)
-        for _ in range(p):
-            power_poly = mul(power_poly, rate)
-        total += integral(shift(power_poly, p // 2), lo, hi)
+        d = math.lcm(*(c.denominator for c in rate))  # d rate has integer coefficients
+        square = mul(*(tuple(c.numerator * (d // c.denominator) for c in rate),) * 2)
+        power, e = (1,), p // 2
+        while e:  # (d rate)^p = ((d rate)^2)^(p/2) by repeated squaring
+            if e & 1:
+                power = mul(power, square)
+            e >>= 1
+            if e:
+                square = mul(square, square)
+        total += integral(shift(tuple(map(Fraction, power)), p // 2), lo, hi) / d**p
     return (2 * t_max) ** p * total
 
 

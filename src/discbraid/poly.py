@@ -33,7 +33,8 @@ def add(a, b) -> Poly:
 
 
 def mul(a, b) -> Poly:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    """Product; integer coefficients stay integers."""
+    out = [0] * (len(a) + len(b) - 1)
     for i, ci in enumerate(a):
         for j, cj in enumerate(b):
             out[i + j] += ci * cj

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import json
 import math
@@ -54,7 +55,7 @@ class TestEstimatePhi:
         def no_pool(*args, **kwargs):
             raise AssertionError("the linking route started worker processes")
 
-        monkeypatch.setattr(est_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         est = estimate_phi_n(bump_flow(), linking_quasimorphism(1, 3), 3, samples=1500, seed=9, threads=3)
         assert est.samples + est.rejected == 1500
 

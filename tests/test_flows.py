@@ -1,3 +1,4 @@
+import bisect
 import json
 import math
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import discbraid.flows as flows_module
 from discbraid.braids import concat, make_word, power
 from discbraid.errors import InputError
 from discbraid.flows import (
@@ -25,7 +27,7 @@ from discbraid.flows import (
     signature_response,
     signature_weight,
 )
-from discbraid.poly import derivative, evaluate
+from discbraid.poly import add, derivative, evaluate, integral, mul, shift
 from discbraid.profiles import (
     RadialProfile,
     make_hs_profile,
@@ -35,7 +37,7 @@ from discbraid.profiles import (
 )
 from discbraid.seifert import braid_signature
 
-from references import integrate_flow_numeric
+from references import integrate_flow_numeric, lp_length_quad
 
 Y_TIMES_ONE_MINUS_Y = RadialProfile(
     (Fraction(0), Fraction(1)), ((Fraction(0), Fraction(1), Fraction(-1)),), 1
@@ -227,7 +229,51 @@ class TestSignatureResponse:
             signature_response(make_flow([(self.CRITERION_7[0], 1)]), 1)
 
 
+def quadrature_flows():
+    """The scale-20 and scale-2 bumps, hs(1/4) and a two-term flow."""
+    h1 = polynomial_bump(Fraction(1, 8), Fraction(1, 2), 12)
+    h2 = polynomial_bump(Fraction(3, 8), Fraction(7, 8), 7)
+    return {
+        "bump20": make_flow([(polynomial_bump(Fraction(1, 4), Fraction(3, 4), 20), 1)]),
+        "bump2": make_flow([(polynomial_bump(Fraction(1, 4), Fraction(3, 4), 2), 1)]),
+        "hs": make_flow([(make_hs_profile(Fraction(1, 4)), 1)]),
+        "two-term": make_flow([(h1, Fraction(2, 3)), (h2, Fraction(-1, 2))]),
+    }
+
+
 class TestLpLength:
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3, 4, 7.25, 10, 100, 1e3, 1e5, 1e10])
+    def test_matches_quad_reference(self, p):
+        for name, flow in quadrature_flows().items():
+            assert lp_length_radial(flow, p) == pytest.approx(lp_length_quad(flow, p), rel=1e-13), name
+
+    def test_unconverged_quadrature_refused(self, monkeypatch):
+        flow = quadrature_flows()["bump20"]
+        assert lp_length_radial(flow, 1.5) > 0  # |rate|^1.5 at the rate's roots needs bisections
+        monkeypatch.setattr(flows_module, "MAX_BISECTIONS", 10)
+        with pytest.raises(InputError, match="did not converge"):
+            lp_length_radial(flow, 1.5)
+
+    def test_exact_even_moment_is_the_plain_power(self):
+        # the same Fraction as p successive products of the unscaled rate
+        flows = quadrature_flows()
+        for name in ("bump20", "hs", "two-term"):
+            flow = flows[name]
+            edges = sorted({b for h, _ in flow.terms for b in h.breakpoints})
+            for p in [*range(2, 41, 2), 100]:
+                plain = Fraction(0)
+                for lo, hi in zip(edges, edges[1:]):
+                    rate = (Fraction(0),)
+                    for h, t in flow.terms:
+                        d = h.derivative()
+                        piece = d.pieces[bisect.bisect_right(d.breakpoints, lo) - 1]
+                        rate = add(rate, tuple(2 * t * c for c in piece))
+                    power = (Fraction(1),)
+                    for _ in range(p):
+                        power = mul(power, rate)
+                    plain += integral(shift(power, p // 2), lo, hi)
+                assert lp_speed_moment_exact(flow, p) == plain, (name, p)
+
     def test_zero_profile(self):
         assert lp_length_radial(make_flow([(zero_profile(), 3)]), 2) == 0
 

@@ -1,6 +1,6 @@
 """No module of the package imports another module's private names, or
 reads a private attribute of anything but ``self`` or ``cls``; no module
-exports a name it does not define; only the analytic L^p length loads scipy."""
+exports a name it does not define; no code path loads scipy."""
 
 import ast
 import importlib
@@ -79,7 +79,7 @@ import sys
 from fractions import Fraction
 
 import discbraid.cli
-from discbraid.estimator import estimate_phi_tilde_n
+from discbraid.estimator import estimate_phi_n, estimate_phi_tilde_n
 from discbraid.flows import lp_length_radial, make_flow
 from discbraid.lengths import lp_length_sampled
 from discbraid.profiles import polynomial_bump
@@ -88,16 +88,19 @@ from discbraid.quasimorphisms import linking_quasimorphism, signature_quasimorph
 flow = make_flow([(polynomial_bump(Fraction(1, 4), Fraction(3, 4), 20), 1)])
 estimate_phi_tilde_n(flow, signature_quasimorphism(), 3, samples=40, k_schedule=(1, 2), seed=1)
 estimate_phi_tilde_n(flow, linking_quasimorphism(1, 2), 2, samples=40, k_schedule=(1, 2), seed=1)
+estimate_phi_n(flow, signature_quasimorphism(), 3, samples=600, seed=1, threads=1)  # two chunks, one process
 lp_length_sampled(flow, 2, space_samples=256, seed=0)
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
-print(repr(lp_length_radial(flow, 2)))
+length = lp_length_radial(flow, 2)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy" or name == "concurrent.futures.process"))
+print(repr(length))
 """
 
 
-def test_only_the_analytic_length_loads_scipy():
-    """The CLI, the estimators and the sampled length run without scipy;
-    lp_length_radial loads it on its first call.  A fresh interpreter is
-    needed because other test modules import scipy into this one."""
+def test_no_code_path_loads_scipy():
+    """The CLI, the estimators, the sampled length and the analytic length
+    run without scipy, and one worker loads no process pool.  A fresh
+    interpreter is needed because other test modules import scipy into this
+    one."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     run = subprocess.run(
         [sys.executable, "-c", SCIPY_FREE_RUN], capture_output=True, text=True, env=env, check=True, timeout=120
