@@ -2,8 +2,10 @@
 
 None is part of the package: the integrator checks the closed-form flow
 (criterion 3, tests/test_flows.py), the quad length checks the analytic
-L^p length's quadrature (tests/test_flows.py), and the defect sampler
-checks the quasi-morphisms' homomorphism error (tests/test_quasimorphisms.py).
+L^p length's quadrature (tests/test_flows.py), the per-time loop checks the
+sampled L^p length's pipeline (tests/test_lengths.py), and the defect
+sampler checks the quasi-morphisms' homomorphism error
+(tests/test_quasimorphisms.py).
 """
 
 import math
@@ -14,6 +16,8 @@ import numpy as np
 from scipy import integrate, optimize
 
 from discbraid.braids import concat
+from discbraid.estimator import TASK_LP_SPACE, chunk_rng, sample_configs
+from discbraid.lengths import MAX_REFINEMENTS, RICHARDSON_RTOL, LengthEstimate, as_isotopy
 
 
 def integrate_flow_numeric(profile, t, point, step):
@@ -89,6 +93,53 @@ def lp_length_quad(spec, p, grid=20_001):
         for a, b in zip(edges, edges[1:])
     )
     return peak * (math.pi * total) ** (1.0 / p)
+
+
+def lp_length_sampled_loop(isotopy, p, time_steps=33, space_samples=65536, seed=0):
+    """The sampled L^p length as one loop over the time grid on one thread.
+
+    Each time asks the isotopy for both of its images, forward then back,
+    and takes the norm before it moves on.  Same cloud, difference steps,
+    Richardson refinement and summation order as ``lp_length_sampled``, so
+    the two agree bit for bit; no input validation.
+    """
+    apply = as_isotopy(isotopy)
+    cloud = sample_configs(chunk_rng(seed, TASK_LP_SPACE, 0), space_samples, 1)[:, 0]
+    times = np.linspace(0.0, 1.0, time_steps)
+    dt = 0.5 * (times[1] - times[0])
+
+    def norm(speed):
+        top = float(np.max(speed))
+        if top == 0.0:
+            return 0.0, 0.0
+        powers = (speed / top) ** p
+        mean = float(np.mean(powers))
+        sigma_mean = float(np.std(powers, ddof=1)) / math.sqrt(speed.size) if speed.size > 1 else 0.0
+        return top * (math.pi * mean) ** (1.0 / p), sigma_mean / (p * mean)
+
+    def evaluate(step):
+        value = 0.0
+        error = 0.0
+        weights = np.full(time_steps, times[1] - times[0])
+        weights[0] *= 0.5
+        weights[-1] *= 0.5
+        for t, w in zip(times, weights):
+            fwd = apply(t + step, cloud)
+            back = apply(t - step, cloud)
+            n, rel_error = norm(np.hypot(*(fwd - back).T) / (2.0 * step))
+            value += w * n
+            error += w * n * rel_error
+        return value, error
+
+    with np.errstate(all="ignore"):
+        value, error = evaluate(dt)
+        for _ in range(MAX_REFINEMENTS):
+            dt *= 0.5
+            previous = value
+            value, error = evaluate(dt)
+            if abs(value - previous) <= RICHARDSON_RTOL * max(abs(value), 1e-300):
+                break
+    return LengthEstimate(value, error, time_steps, space_samples, seed)
 
 
 def sample_defect(phi, word_sampler, trials, seed):

@@ -1,4 +1,6 @@
 import math
+import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,7 @@ from discbraid.lengths import (
 )
 from discbraid.loops import TrajectoryBundle
 from discbraid.profiles import polynomial_bump, rotation_profile
+from references import lp_length_sampled_loop
 
 
 def rotation_flow(alpha_frac):
@@ -23,6 +26,29 @@ def rotation_flow(alpha_frac):
 
 def bump_flow(t=3):
     return make_flow([(polynomial_bump(Fraction(1, 4), Fraction(3, 4), 30), t)])
+
+
+def two_term_flow():
+    return make_flow([(polynomial_bump(Fraction(1, 4), Fraction(3, 4), 30), 3),
+                      (polynomial_bump(Fraction(1, 8), Fraction(1, 2), 20), -2)])
+
+
+def translate_loop(t, pts):
+    """Rigid translation around a circle of radius 0.1: speed 0.2 pi everywhere."""
+    angle = 2 * math.pi * t
+    return np.asarray(pts) + 0.1 * np.array([math.cos(angle) - 1, math.sin(angle)])
+
+
+class CountingIsotopy:
+    """Records each time it is asked for, then applies the wrapped isotopy."""
+
+    def __init__(self, isotopy):
+        self.apply = as_isotopy(isotopy)
+        self.times = []
+
+    def __call__(self, t, pts):
+        self.times.append(t)
+        return self.apply(t, pts)
 
 
 def rotate_by_formula(flow, t, pts):
@@ -88,8 +114,7 @@ class TestRateMemo:
         [
             (rotation_flow(1), "none"),
             (make_flow([]), "all"),
-            (make_flow([(polynomial_bump(Fraction(1, 4), Fraction(3, 4), 30), 3),
-                        (polynomial_bump(Fraction(1, 8), Fraction(1, 2), 20), -2)]), "some"),
+            (two_term_flow(), "some"),
         ],
         ids=["rigid", "empty", "two-term"],
     )
@@ -192,14 +217,7 @@ class TestLpLengthSampled:
         assert a == b
 
     def test_callable_isotopy(self):
-        def translate_then_back(t, pts):
-            # not area-preserving in general, but exercises the interface:
-            # rigid translation by a loop, speed 2*pi*0.1 at all points
-            angle = 2 * math.pi * t
-            offset = 0.1 * np.array([math.cos(angle) - 1, math.sin(angle)])
-            return np.asarray(pts) + offset
-
-        est = lp_length_sampled(translate_then_back, 2, space_samples=2000, seed=1)
+        est = lp_length_sampled(translate_loop, 2, space_samples=2000, seed=1)
         want = 2 * math.pi * 0.1 * math.sqrt(math.pi)  # |v| constant = 0.2 pi
         assert est.value == pytest.approx(want, rel=1e-3)
 
@@ -228,6 +246,78 @@ class TestLpLengthSampled:
             lp_length_sampled(make_flow([]), 2, time_steps=1)
         with pytest.raises(InputError):
             as_isotopy(42)
+
+
+class TestSampledPipeline:
+    """Each distinct time is asked for once, the norms run on a worker
+    thread, and the result is the per-time loop's, bit for bit."""
+
+    ISOTOPIES = {"flow": bump_flow, "callable": lambda: translate_loop, "two-term": two_term_flow}
+
+    @pytest.mark.parametrize("time_steps", [2, 10, 33])
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3])
+    @pytest.mark.parametrize("isotopy", sorted(ISOTOPIES))
+    def test_matches_the_loop(self, isotopy, p, time_steps):
+        make = self.ISOTOPIES[isotopy]
+        got = lp_length_sampled(make(), p, time_steps=time_steps, space_samples=2000, seed=4)
+        want = lp_length_sampled_loop(make(), p, time_steps=time_steps, space_samples=2000, seed=4)
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("time_steps, first_pass", [(33, 34), (10, 13)])
+    def test_each_time_asked_once(self, time_steps, first_pass):
+        # on 33 steps every midpoint (2j+1)/64 is shared; on 10 steps 7 of the
+        # 9 midpoints are equal floats; the refined steps share none
+        flow = bump_flow(t=16)
+        counted = CountingIsotopy(flow)
+        lp_length_sampled(counted, 2, time_steps=time_steps, space_samples=3000, seed=2)
+        parent = CountingIsotopy(flow)
+        lp_length_sampled_loop(parent, 2, time_steps=time_steps, space_samples=3000, seed=2)
+        refinements = len(parent.times) // (2 * time_steps) - 1
+        assert refinements >= 1
+        per_pass = 2 * time_steps
+        assert len(counted.times) == first_pass + refinements * per_pass
+        sizes = [first_pass] + [per_pass] * refinements
+        starts = np.cumsum([0] + sizes)
+        for k, (a, b) in enumerate(zip(starts, starts[1:])):
+            asked = counted.times[a:b]
+            assert len(set(asked)) == len(asked)  # no time twice in a pass
+            assert set(asked) == set(parent.times[2 * time_steps * k:2 * time_steps * (k + 1)])
+
+    def test_images_are_not_written(self):
+        returned = []
+
+        def identity(t, pts):
+            returned.append((pts, pts.copy()))
+            return pts  # the cloud itself: neither it nor an image may be overwritten
+
+        assert lp_length_sampled(identity, 2, space_samples=500, seed=1).value == 0.0
+        assert all(np.array_equal(array, copy) for array, copy in returned)
+
+    def test_overflow_in_the_worker_is_refused_not_warned(self):
+        def jump(t, pts):
+            return pts + 1e308 * (t > 0.5)  # the speed across the jump overflows
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="L\\^p length overflows float arithmetic"):
+                lp_length_sampled(jump, 2, space_samples=500, seed=1)
+
+    def test_isotopy_error_propagates_and_the_worker_stops(self):
+        error = RuntimeError("isotopy failed")
+        calls = []
+
+        def failing(t, pts):
+            calls.append(t)
+            if len(calls) == 5:
+                raise error
+            return translate_loop(t, pts)
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            lp_length_sampled(failing, 2, space_samples=500, seed=1)
+        assert raised.value is error
+        assert len(calls) == 5
+        assert threading.active_count() == before
 
 
 class TestBundleLength:
