@@ -37,19 +37,11 @@ from .flows import (
     lp_length_radial,
     lp_speed_moment_exact,
     make_flow,
-    radial_flow_apply,
     signature_moment,
     signature_response,
 )
 from .lengths import holder_constant, lp_length_sampled
-from .loops import (
-    TrajectoryBundle,
-    extract_braid,
-    gg_loop,
-    perturb_direction,
-    signed_winding,
-    winding_length,
-)
+from .loops import TrajectoryBundle, extract_braid, winding_length
 from .profiles import RadialProfile, make_hs_profile, polynomial_bump, rotation_profile
 from .quasimorphisms import (
     QuasimorphismSpec,

@@ -26,9 +26,16 @@ from .braids import format_braid_text, parse_braid_text, parse_word
 from .errors import DegeneracyError, DegenerateConfigurationError, InputError
 from .estimator import default_base, estimate_phi_n, estimate_phi_tilde_n
 from .experiments import battery
-from .flows import flow_from_json, lp_length_radial, make_flow, radial_flow_apply
+from .flows import flow_from_json, flow_path, lp_length_radial, make_flow
 from .lengths import lp_length_of_bundle, lp_length_sampled
-from .loops import coincidence_free, extract_braid, gg_loop, read_trajectory_csv, write_trajectory_csv
+from .loops import (
+    TrajectoryBundle,
+    coincidence_free,
+    extract_braid,
+    gg_loops,
+    read_trajectory_csv,
+    write_trajectory_csv,
+)
 from .profiles import make_hs_profile, profile_from_json, profile_to_json
 from .quasimorphisms import (
     homogenize,
@@ -119,9 +126,17 @@ def _phi_by_name(name: str, i: int, j: int):
 def cmd_flow_apply(args) -> int:
     flow = _load_flow(args)
     point = _parse_point(args.point)
-    image = radial_flow_apply(flow, point, polar=args.polar)
+    if args.polar:
+        r, theta = point
+        if r < 0 or r > 1 + 1e-12:
+            raise InputError(f"radius {r} outside the closed unit disc")
+        image = [r, theta + float(flow.angular_rate_float(r * r))]
+    else:
+        if point[0] * point[0] + point[1] * point[1] > 1 + 1e-9:
+            raise InputError(f"point {point} outside the closed unit disc")
+        image = flow_path(flow, [point], [1.0])[0, 0].tolist()
     _print_config(args, "flow-apply", {"point": list(point), "polar": args.polar})
-    _emit(args, {"point": list(point), "image": [image[0], image[1]]})
+    _emit(args, {"point": list(point), "image": image})
     return 0
 
 
@@ -133,11 +148,14 @@ def cmd_braid_extract(args) -> int:
         source = {"trajectory": args.trajectory}
     else:
         flow = _load_flow(args)
+        if args.start is None:
+            raise InputError("need --trajectory FILE or --start 'x,y;x,y;...'")
         start = _parse_points(args.start)
         base = _parse_points(args.base) if args.base else default_base(len(start))
-        bundle = gg_loop(base, start, flow, args.samples_per_segment)
+        times, positions = next(gg_loops(base, start[None], flow, args.samples_per_segment))
         if not coincidence_free(flow, base, start[None])[0]:
             raise InputError("two strands pass through each other along the loop, so it has no braid")
+        bundle = TrajectoryBundle(times, positions[0])
         source = {"start": args.start, "base": args.base}
     if args.emit_trajectory:
         with open(args.emit_trajectory, "w") as fh:
@@ -270,7 +288,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool):
         "--threads",
         type=int,
         default=default(os.environ.get("DISCBRAID_THREADS", "1")),
-        help="worker processes for signature estimates",
+        help="at most this many worker processes for signature estimates",
     )
     parser.add_argument("--format", choices=("json", "csv"), default=default("json"))
     parser.add_argument(

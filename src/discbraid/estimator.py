@@ -174,8 +174,9 @@ def estimate_phi_n(
     those with a pair (the linked pair, for a linking spec) whose
     ``loop_winding`` is undefined, and those whose extraction stays
     degenerate after direction perturbations.  The value is the
-    accepted-sample mean scaled by pi^n; ``threads`` workers share
-    the chunks of a spec with no closed form.
+    accepted-sample mean scaled by pi^n; at most ``threads`` worker
+    processes, and no more than there are chunks or CPUs, share the chunks
+    of a spec with no closed form.
     """
     if not 2 <= n <= MAX_LOOP_POSITIONS // CHUNK_SAMPLES:  # a chunk holds at most a loop's positions
         raise InputError(f"need 2 to {MAX_LOOP_POSITIONS // CHUNK_SAMPLES} marked points, got {n}")
@@ -188,8 +189,10 @@ def estimate_phi_n(
     chunk = partial(_phi_chunk, flow, phi, n, seed)
     if threads > 1 and pair is None and len(counts) > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
+        from os import cpu_count
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # a forked pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(threads, len(counts), cpu_count() or 1)) as pool:
             results = list(pool.map(chunk, range(len(counts)), counts))
     else:
         results = list(map(chunk, range(len(counts)), counts))

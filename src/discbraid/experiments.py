@@ -23,7 +23,6 @@ how the paper proves the embedding.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -83,9 +82,6 @@ class Report:
 
     def to_dict(self) -> dict:  # a failed hypothesis leaves margin NaN, null in JSON
         return dict(asdict(self), margin=self.margin if math.isfinite(self.margin) else None)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
 
 def check_crossing_bound(

@@ -30,7 +30,6 @@ __all__ = [
     "make_flow",
     "MAX_ROTATION",
     "check_rotation",
-    "radial_flow_apply",
     "calabi",
     "calabi_coefficient",
     "signature_moment",
@@ -117,26 +116,6 @@ def check_rotation(spec: FlowSpec) -> float:
             "float angles no longer resolve a turn"
         )
     return bound
-
-
-def radial_flow_apply(spec: FlowSpec, point, polar: bool = False):
-    """Apply the time-one map of the flow to a point of the closed disc.
-
-    ``point`` is Cartesian (x, y) by default, or (r, theta) with ``polar``.
-    The radius is preserved exactly; the angle advances by the summed rates.
-    """
-    if polar:
-        r, theta = float(point[0]), float(point[1])
-        if r < 0 or r > 1 + 1e-12:
-            raise InputError(f"radius {r} outside the closed unit disc")
-        return (r, theta + float(spec.angular_rate_float(r * r)))
-    x, y = float(point[0]), float(point[1])
-    r2 = x * x + y * y
-    if r2 > 1 + 1e-9:
-        raise InputError(f"point {point} outside the closed unit disc")
-    dtheta = float(spec.angular_rate_float(min(r2, 1.0)))
-    c, s = math.cos(dtheta), math.sin(dtheta)
-    return (c * x - s * y, s * x + c * y)
 
 
 def flow_path(spec: FlowSpec, points, s_values):

@@ -6,8 +6,8 @@ to x on [0, 1/3], the flow orbit of x reparameterized to [1/3, 2/3], then
 a straight leg from g(x) back to z on [2/3, 1], each kept as its two ends.
 The bundle closes up, so the braid read off from it is pure.  ``gg_loops``
 builds the loops of many configurations in batches of at most
-LOOP_BATCH_POSITIONS positions, with one ``flow_path`` call each;
-``gg_loop`` is its one-configuration case.
+LOOP_BATCH_POSITIONS positions, with one ``flow_path`` call each; one
+configuration is a batch of one.
 
 Braids are extracted by projecting all strands onto a direction and
 emitting one Artin generator per adjacent transposition of the projected
@@ -44,15 +44,12 @@ __all__ = [
     "TrajectoryBundle",
     "closest_pair",
     "coincidence_free",
-    "gg_loop",
     "gg_loops",
     "loop_samples",
     "loop_winding",
     "extract_braid",
     "loop_braids",
-    "perturb_direction",
     "winding_length",
-    "signed_winding",
     "write_trajectory_csv",
     "read_trajectory_csv",
 ]
@@ -95,8 +92,8 @@ def closest_pair(points) -> tuple[float, int, int]:
 
     ``points`` is (n, 2), or (n, T, 2) for strands sampled at shared times,
     whose distance is the least over the samples (``np.hypot``); the first
-    pair found wins ties.  ``gg_loop``, ``extract_braid`` and the windings
-    of a sampled pair test COINCIDENCE_THRESHOLD against it; ``loop_winding``
+    pair found wins ties.  ``extract_braid`` and the winding length of a
+    sampled pair test COINCIDENCE_THRESHOLD against it; ``loop_winding``
     measures its own leg and orbit distances.
     """
     points = np.asarray(points, dtype=float)
@@ -111,7 +108,7 @@ def closest_pair(points) -> tuple[float, int, int]:
 
 
 def loop_samples(flow: FlowSpec, n: int, samples_per_segment: int | None = None) -> int:
-    """Subintervals m of the flow orbit in an n-strand ``gg_loop``, by default
+    """Subintervals m of the flow orbit in an n-strand ``gg_loops`` loop, by default
     scaled to the flow's angular speed bound so relative windings stay resolved.
 
     InputError, before any sampling, for a flow turning faster than
@@ -144,8 +141,7 @@ def gg_loops(base, starts, flow: FlowSpec, samples_per_segment: int | None = Non
     (count, n, m + 3, 2) loops of at most LOOP_BATCH_POSITIONS positions,
     built with one ``flow_path`` call; it is elementwise in its points, so
     each loop is bitwise the one a batch of one gives.  Nothing is screened
-    here: ``gg_loop`` checks one configuration and ``coincidence_free``
-    screens many.
+    here: ``coincidence_free`` screens the configurations.
     """
     z, x = _base_and_configs(base, starts)
     n = z.shape[0]
@@ -160,30 +156,6 @@ def gg_loops(base, starts, flow: FlowSpec, samples_per_segment: int | None = Non
         positions[:, :, 0] = positions[:, :, -1] = z
         positions[:, :, 1:-1] = flow_path(flow, part.reshape(-1, 2), s).reshape(len(part), n, m + 1, 2)
         yield times, positions
-
-
-def gg_loop(
-    base,
-    start,
-    flow: FlowSpec,
-    samples_per_segment: int | None = None,
-) -> TrajectoryBundle:
-    """The ``gg_loops`` loop of one (n, 2) start configuration.
-
-    InputError for a base and start of different shapes, or either with a
-    coincident pair; pairs passing through each other along the loop are
-    not screened here (``coincidence_free`` does that).
-    """
-    z = np.asarray(base, dtype=float)
-    x = np.asarray(start, dtype=float)
-    if z.shape != x.shape or z.ndim != 2 or z.shape[1] != 2:
-        raise InputError("base and start must be matching (n, 2) arrays")
-    for label, points in (("base", z), ("start", x)):
-        d, i, j = closest_pair(points)
-        if d < COINCIDENCE_THRESHOLD:
-            raise InputError(f"{label} points {i} and {j} coincide")
-    times, positions = next(gg_loops(z, x[None], flow, samples_per_segment))
-    return TrajectoryBundle(times, positions[0])
 
 
 def _segment_distance(a, b):
@@ -229,7 +201,7 @@ def _pair_turns(z, x, polar, i: int, j: int) -> np.ndarray:
 
 
 def loop_winding(flow: FlowSpec, base, configs, i: int, j: int) -> np.ndarray:
-    """Exact turns of x_i - x_j around the ``gg_loop`` of each configuration.
+    """Exact turns of x_i - x_j around the ``gg_loops`` loop of each configuration.
 
     ``configs`` is (count, n, 2) and i, j are 0-based strands.  Each leg
     turns the pair by the principal angle between its ends.  On the
@@ -249,7 +221,7 @@ def loop_winding(flow: FlowSpec, base, configs, i: int, j: int) -> np.ndarray:
 
 def coincidence_free(flow: FlowSpec, base, configs) -> np.ndarray:
     """Mask of the (count, n, 2) configurations whose every pair stays
-    COINCIDENCE_THRESHOLD apart along its ``gg_loop``: ``loop_winding`` is
+    COINCIDENCE_THRESHOLD apart along its ``gg_loops`` loop: ``loop_winding`` is
     defined for every pair.  Each point's polar data is computed once."""
     z, x = _base_and_configs(base, configs)
     polar = _polar(flow, x)
@@ -458,25 +430,16 @@ def _permutation_word(final) -> list[int]:
     return letters
 
 
-def _relative_angle_steps(bundle: TrajectoryBundle, i: int, j: int) -> np.ndarray:
+def winding_length(bundle: TrajectoryBundle, i: int, j: int) -> float:
+    """Total variation of the pair direction, in turns (length of l_ij / 2pi)."""
     if i == j:
         raise InputError("winding needs two distinct strands")
     if closest_pair(bundle.positions[[i, j]])[0] < COINCIDENCE_THRESHOLD:
         raise DegenerateConfigurationError("strands coincide along the bundle")
     rel = bundle.positions[i] - bundle.positions[j]
-    angles = np.arctan2(rel[:, 1], rel[:, 0])
-    steps = np.diff(angles)
-    return (steps + math.pi) % (2.0 * math.pi) - math.pi
-
-
-def winding_length(bundle: TrajectoryBundle, i: int, j: int) -> float:
-    """Total variation of the pair direction, in turns (length of l_ij / 2pi)."""
-    return float(np.sum(np.abs(_relative_angle_steps(bundle, i, j))) / (2.0 * math.pi))
-
-
-def signed_winding(bundle: TrajectoryBundle, i: int, j: int) -> float:
-    """Net rotation of the pair direction, in turns; integral for loops."""
-    return float(np.sum(_relative_angle_steps(bundle, i, j)) / (2.0 * math.pi))
+    steps = np.diff(np.arctan2(rel[:, 1], rel[:, 0]))
+    steps = (steps + math.pi) % (2.0 * math.pi) - math.pi
+    return float(np.sum(np.abs(steps)) / (2.0 * math.pi))
 
 
 def write_trajectory_csv(bundle: TrajectoryBundle) -> str:

@@ -21,7 +21,6 @@ from .poly import Poly, compose, derivative, evaluate, integral, mul, real_roots
 
 __all__ = [
     "RadialProfile",
-    "zero_profile",
     "polynomial_bump",
     "rotation_profile",
     "make_hs_profile",
@@ -151,10 +150,6 @@ class RadialProfile:
             for y in [a, b] + real_roots(np.polyder(row[::-1]), a, b):
                 best = max(best, abs(float(evaluate(row, y))))
         return best
-
-
-def zero_profile() -> RadialProfile:
-    return RadialProfile((Fraction(0), Fraction(1)), ((Fraction(0),),), 1)
 
 
 def polynomial_bump(a, b, scale=1) -> RadialProfile:

@@ -26,9 +26,7 @@ for each occurrence of its least letter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .braids import BraidWord, cyclic_reduce
 from .errors import InputError
@@ -103,17 +101,15 @@ def seifert_matrix(a: BraidWord) -> SeifertMatrix:
 def matrix_signature(rows) -> int:
     """Signature (p - q of the inertia) of a symmetric matrix, exactly.
 
-    Accepts any square nested sequence of ints/Fractions; entries are
-    checked for symmetry.  Rational input is first scaled by the positive
-    lcm of its denominators, which keeps the inertia, so the elimination
-    runs on integers only.  It is symmetric fraction-free (Bareiss)
-    elimination by congruence: after each step the active block is d times
-    the true Schur complement, d the previous pivot, so every division is
-    exact and the true pivot p/d has the sign of p*d.  Rows with nothing to
-    eliminate keep a pending scale instead of being rewritten, so long
-    sparse (banded) Seifert matrices cost O(n^2), not O(n^3).  An all-zero
-    diagonal is fixed by folding one row/column into another to expose a
-    pivot.
+    Accepts a square nested sequence of ints, such as a symmetrized Seifert
+    form, checked for symmetry; any other entry is an InputError.  It runs
+    symmetric fraction-free (Bareiss) elimination by congruence: after each
+    step the active block is d times the true Schur complement, d the
+    previous pivot, so every division is exact and the true pivot p/d has
+    the sign of p*d.  Rows with nothing to eliminate keep a pending scale
+    instead of being rewritten, so long sparse (banded) Seifert matrices
+    cost O(n^2), not O(n^3).  An all-zero diagonal is fixed by folding one
+    row/column into another to expose a pivot.
     """
     work = [list(row) for row in rows]
     n = len(work)
@@ -121,9 +117,7 @@ def matrix_signature(rows) -> int:
         if len(row) != n:
             raise InputError("matrix is not square")
     if not all(type(x) is int for row in work for x in row):
-        work = [[Fraction(x) for x in row] for row in work]
-        lcd = lcm(*(x.denominator for row in work for x in row))
-        work = [[x.numerator * (lcd // x.denominator) for x in row] for row in work]
+        raise InputError("matrix entries must be integers")
     for r in range(n):
         for c in range(r + 1, n):
             if work[r][c] != work[c][r]:

@@ -3,9 +3,12 @@
 None is part of the package: the integrator checks the closed-form flow
 (criterion 3, tests/test_flows.py), the quad length checks the analytic
 L^p length's quadrature (tests/test_flows.py), the per-time loop checks the
-sampled L^p length's pipeline (tests/test_lengths.py), and the defect
+sampled L^p length's pipeline (tests/test_lengths.py), the defect
 sampler checks the quasi-morphisms' homomorphism error
-(tests/test_quasimorphisms.py).
+(tests/test_quasimorphisms.py), and the sampled signed winding checks the
+linking numbers of extracted braids (criterion 5, tests/test_loops.py).
+``gg_loop`` and ``zero_profile`` are conveniences: the loop of one
+configuration, and the profile of the identity flow.
 """
 
 import math
@@ -18,6 +21,29 @@ from scipy import integrate, optimize
 from discbraid.braids import concat
 from discbraid.estimator import TASK_LP_SPACE, chunk_rng, sample_configs
 from discbraid.lengths import MAX_REFINEMENTS, RICHARDSON_RTOL, LengthEstimate, as_isotopy
+from discbraid.loops import TrajectoryBundle, gg_loops
+from discbraid.profiles import RadialProfile
+
+
+def zero_profile():
+    """h = 0 on [0, 1]; its flow is the identity."""
+    return RadialProfile((Fraction(0), Fraction(1)), ((Fraction(0),),), 1)
+
+
+def gg_loop(base, start, flow, samples_per_segment=None):
+    """The ``gg_loops`` loop of one (n, 2) start configuration, as a bundle.
+    Nothing is screened: ``coincidence_free`` is the package's screen."""
+    times, positions = next(gg_loops(base, np.asarray(start, dtype=float)[None], flow, samples_per_segment))
+    return TrajectoryBundle(times, positions[0])
+
+
+def signed_winding(bundle, i, j):
+    """Net rotation of the direction of strand i minus strand j along the
+    sampled bundle, in turns, each step taken as its principal angle; an
+    integer for a loop sampled finely enough, and then lk[i+1, j+1]."""
+    rel = bundle.positions[i] - bundle.positions[j]
+    steps = np.diff(np.arctan2(rel[:, 1], rel[:, 0]))
+    return float(np.sum((steps + math.pi) % (2.0 * math.pi) - math.pi) / (2.0 * math.pi))
 
 
 def integrate_flow_numeric(profile, t, point, step):

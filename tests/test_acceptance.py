@@ -23,13 +23,13 @@ from discbraid.experiments import (
     check_lipschitz,
 )
 from discbraid.flows import (
+    flow_path,
     flow_to_json,
     lp_length_radial,
     make_flow,
-    radial_flow_apply,
 )
 from discbraid.lengths import lp_length_sampled
-from discbraid.loops import extract_braid, gg_loop, signed_winding
+from discbraid.loops import extract_braid
 from discbraid.profiles import make_hs_profile, polynomial_bump, rotation_profile
 from discbraid.quasimorphisms import (
     homogenize,
@@ -38,7 +38,7 @@ from discbraid.quasimorphisms import (
 )
 from discbraid.seifert import braid_signature
 
-from references import integrate_flow_numeric
+from references import gg_loop, integrate_flow_numeric, signed_winding
 
 
 class Stopwatch:
@@ -118,7 +118,7 @@ def test_criterion_03_flow_vs_numeric_integrator():
             th = rng.uniform(0, 2 * math.pi)
             t = rng.uniform(0.1, 1.0)
             pt = (r * math.cos(th), r * math.sin(th))
-            analytic = radial_flow_apply(make_flow([(profile, t)]), pt)
+            analytic = flow_path(make_flow([(profile, t)]), [pt], [1.0])[0, 0]
             numeric = integrate_flow_numeric(profile, t, pt, 2e-4)
             err = math.hypot(analytic[0] - numeric[0], analytic[1] - numeric[1])
             worst = max(worst, err)

@@ -9,17 +9,20 @@ from pathlib import Path
 
 import pytest
 
+import discbraid.lengths
 import discbraid.loops as loops
 from discbraid.cli import main
 from discbraid.estimator import default_base
-from discbraid.flows import flow_to_json, make_flow
+from discbraid.flows import flow_path, flow_to_json, make_flow
 from discbraid.profiles import (
+    make_hs_profile,
     polynomial_bump,
     profile_from_json,
     profile_to_json,
     rotation_profile,
-    zero_profile,
 )
+
+from references import gg_loop, zero_profile
 
 
 @pytest.fixture
@@ -163,6 +166,25 @@ class TestBraidExtract:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "InputError"
 
+    BAD_LOOPS = {
+        # coincident points leave the loop no braid, whichever end they are at
+        "coincident-start": (["--start=0.3,0.1;0.3,0.1"], "two strands pass through each other along the loop, so it has no braid"),
+        "coincident-base": (
+            ["--start=0.3,0.1;-0.2,0.5", "--base=0.5,0;0.5,0"],
+            "two strands pass through each other along the loop, so it has no braid",
+        ),
+        "shapes": (["--start=0.3,0.1;-0.2,0.5", "--base=0.5,0;0.1,0.1;0.2,0.2"], "base must be (n, 2) and configs (count, n, 2)"),
+        "no-start": ([], "need --trajectory FILE or --start 'x,y;x,y;...'"),
+    }
+
+    @pytest.mark.parametrize("name", list(BAD_LOOPS))
+    def test_bad_loop_error_bytes(self, capsys, bump_flow_file, tmp_path, name):
+        argv, message = self.BAD_LOOPS[name]
+        traj = tmp_path / "traj.csv"
+        code, out, err = run_cli(capsys, "braid-extract", "--flow", bump_flow_file, *argv, "--emit-trajectory", str(traj))
+        assert (code, out) == (1, "") and not traj.exists()
+        assert err == f'{{"error": "InputError", "message": "{message}"}}\n'
+
     DEGENERATE_TRAJECTORIES = {
         # a non-loop: the strands swap through the origin between two samples
         "swap": ("2,2", ["0.0,0,-0.5,0.0", "0.0,1,0.5,0.0", "1.0,0,0.5,0.0", "1.0,1,-0.5,0.0"],
@@ -191,7 +213,7 @@ class TestBraidExtract:
         # out, rounding leaves a gap of about 6e-17 across the direction there
         base = default_base(2)
         traj = tmp_path / "swap.csv"
-        traj.write_text(loops.write_trajectory_csv(loops.gg_loop(base, base[::-1], make_flow([(zero_profile(), 1)]))))
+        traj.write_text(loops.write_trajectory_csv(gg_loop(base, base[::-1], make_flow([(zero_profile(), 1)]))))
         code, out, err = run_cli(capsys, "braid-extract", "--trajectory", str(traj))
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "DegenerateConfigurationError", "message": "crossing with coincident strands"}
@@ -225,6 +247,61 @@ class TestBraidExtract:
         code, out, err = run_cli(capsys, command, "--trajectory", str(traj))
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "InputError"
+
+
+class TestFlowApply:
+    @pytest.fixture
+    def hs_flow(self, tmp_path):
+        flow = make_flow([(make_hs_profile(Fraction(7, 24)), 2)])
+        path = tmp_path / "hs.json"
+        path.write_text(flow_to_json(flow))
+        return flow, str(path)
+
+    def test_image_is_the_flow_path_image(self, capsys, hs_flow):
+        flow, path = hs_flow
+        for point in [(0.55, 0.1), (-0.3, 0.4), (0.0, 0.0), (1.0, 0.0), (0.6, -0.8), (-0.1, 0.0)]:
+            code, out, err = run_cli(capsys, "flow-apply", "--flow", path, f"--point={point[0]!r},{point[1]!r}")
+            assert (code, err) == (0, "")
+            assert payload_of(out) == {"point": list(point), "image": flow_path(flow, [point], [1.0])[0, 0].tolist()}
+
+    def test_polar_rigid_rotation(self, capsys, rotation_flow_file):
+        code, out, _ = run_cli(capsys, "flow-apply", "--flow", rotation_flow_file, "--point", "0.4,1.1", "--polar")
+        r, theta = payload_of(out)["image"]
+        assert code == 0 and r == 0.4
+        assert abs(theta - (1.1 + 2 * math.pi)) < 1e-15
+
+    POLAR = {
+        "json": (
+            ["--point", "0.55,0.1"],
+            '# config {"command": "flow-apply", "point": [0.55, 0.1], "polar": true, "seed": 0, "threads": 1}\n'
+            '{\n  "image": [\n    0.55,\n    5.213249999999993\n  ],\n  "point": [\n    0.55,\n    0.1\n  ]\n}\n',
+        ),
+        "csv": (
+            ["--point=0.6,-2.5", "--format", "csv"],
+            '# config {"command": "flow-apply", "point": [0.6, -2.5], "polar": true, "seed": 0, "threads": 1}\n'
+            "point,[0.6, -2.5]\nimage,[0.6, -3.683000000000007]\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(POLAR))
+    def test_polar_bytes(self, capsys, hs_flow, name):
+        argv, stdout = self.POLAR[name]
+        assert run_cli(capsys, "flow-apply", "--flow", hs_flow[1], *argv, "--polar") == (0, stdout, "")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--point", "1.2,0"], "point (1.2, 0.0) outside the closed unit disc"),
+            (["--point", "0.8,0.6000001"], "point (0.8, 0.6000001) outside the closed unit disc"),
+            (["--point", "1.2,0", "--polar"], "radius 1.2 outside the closed unit disc"),
+            (["--point=-0.1,0", "--polar"], "radius -0.1 outside the closed unit disc"),
+        ],
+        ids=["cartesian", "cartesian-edge", "polar", "polar-negative"],
+    )
+    def test_outside_disc_error_bytes(self, capsys, hs_flow, argv, message):
+        code, out, err = run_cli(capsys, "flow-apply", "--flow", hs_flow[1], *argv)
+        assert (code, out) == (1, "")
+        assert err == f'{{"error": "InputError", "message": "{message}"}}\n'
 
 
 class TestMalformedNumbers:
@@ -386,6 +463,17 @@ class TestLpLength:
         code, out, _ = run_cli(capsys, "lp-length", "--trajectory", str(traj), "--p", "400")
         assert code == 0
         assert payload_of(out)["value"] == pytest.approx(10 * (math.pi / 2) ** (1 / 400), rel=1e-12)
+
+    def test_space_samples_capped_before_sampling(self, capsys, bump_flow_file, monkeypatch):
+        def no_cloud(*args):
+            raise AssertionError("sampled a cloud above the cap")
+
+        monkeypatch.setattr(discbraid.lengths, "sample_configs", no_cloud)
+        cap = discbraid.lengths.MAX_SPACE_SAMPLES
+        argv = ["lp-length", "--flow", bump_flow_file, "--mode", "sampled", "--space-samples", str(cap + 1)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "InputError", "message": f"need 1 to {cap} space samples, got {cap + 1}"}
 
     def test_sampled_close_to_analytic(self, capsys, bump_flow_file):
         _, out_a, _ = run_cli(capsys, "lp-length", "--flow", bump_flow_file, "--p", "2")

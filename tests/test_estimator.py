@@ -2,7 +2,10 @@ import concurrent.futures
 import itertools
 import json
 import math
+import multiprocessing
+import os
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,10 +23,12 @@ from discbraid.estimator import (
 )
 from discbraid.experiments import calabi_profiles, exact_phi_tilde
 from discbraid.flows import make_flow
-from discbraid.loops import COINCIDENCE_THRESHOLD, extract_braid, gg_loop, loop_winding
+from discbraid.loops import COINCIDENCE_THRESHOLD, extract_braid, loop_winding
 from discbraid.profiles import make_hs_profile, polynomial_bump, rotation_profile
 from discbraid.quasimorphisms import linking_quasimorphism, signature_quasimorphism
 from discbraid.seifert import braid_signature, class_signature, matrix_signature, seifert_matrix
+
+from references import gg_loop
 
 LK = linking_quasimorphism(1, 2)
 
@@ -58,6 +63,32 @@ class TestEstimatePhi:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         est = estimate_phi_n(bump_flow(), linking_quasimorphism(1, 3), 3, samples=1500, seed=9, threads=3)
         assert est.samples + est.rejected == 1500
+
+    def test_pool_is_bounded_by_chunks_and_cpus(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:  # records its size and runs the chunks here, in order
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        flow = make_flow([(make_hs_profile(Fraction(7, 24)), 4)])
+        run = partial(estimate_phi_n, flow, signature_quasimorphism(), 3, samples=600, seed=6)  # two chunks
+        alone = json.dumps(run(threads=1).to_dict())
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        for cpus, workers in ((64, 2), (1, 1), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert json.dumps(run(threads=100_000).to_dict()) == alone
+            assert sizes.pop() == workers
+        assert sizes == [] and multiprocessing.active_children() == []
 
     def test_signature_deterministic_across_threads(self):
         # 600 samples make two chunks, so threads=2 spreads them over two workers

@@ -311,7 +311,7 @@ def strict_json(text: str):
 class TestReport:
     def test_json_roundtrip(self):
         rep = Report("demo", True, 1.25, {"extra": [1, 2]}, seed=9)
-        doc = json.loads(rep.to_json())
+        doc = json.loads(json.dumps(rep.to_dict(), allow_nan=False))
         assert doc["check"] == "demo" and doc["passed"] and doc["seed"] == 9
 
     FAILED_HYPOTHESES = {
@@ -323,14 +323,14 @@ class TestReport:
     def test_failed_hypothesis_margin_is_null(self, name):
         rep = self.FAILED_HYPOTHESES[name]()
         assert not rep.passed and math.isnan(rep.margin)
-        assert strict_json(rep.to_json())["margin"] is None
+        assert strict_json(json.dumps(rep.to_dict(), allow_nan=False))["margin"] is None
 
     def test_zero_std_error_leaves_z_null(self):
         # so shallow that no sampled pair winds a whole turn: every estimate is 0 +- 0
         shallow = [bump(2, 6, 1), bump(1, 4, 1)]
         rep = check_calabi_proportionality(shallow, samples=64, seed=2, k_schedule=(1, 2))
         assert [e["std_error"] for e in rep.details["estimates"]] == [0.0, 0.0]
-        doc = strict_json(rep.to_json())["details"]
+        doc = strict_json(json.dumps(rep.to_dict(), allow_nan=False))["details"]
         assert doc["z"] == [None, None] and all(x < 0 for x in doc["exact"])
 
     def test_verify_report_is_strict_json(self, monkeypatch, tmp_path, capsys):

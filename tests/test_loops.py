@@ -21,18 +21,18 @@ from discbraid.loops import (
     closest_pair,
     coincidence_free,
     extract_braid,
-    gg_loop,
     gg_loops,
     MAX_LOOP_POSITIONS,
     loop_braids,
     loop_samples,
     perturb_direction,
     read_trajectory_csv,
-    signed_winding,
     winding_length,
     write_trajectory_csv,
 )
 from discbraid.profiles import polynomial_bump, rotation_profile
+
+from references import gg_loop, signed_winding
 
 
 def full_rotation_flow(turns=1):
@@ -80,11 +80,6 @@ class TestBundle:
         assert np.allclose(bundle.positions[:, 1 : m + 2], x[:, None])
         assert np.allclose(bundle.times, np.concatenate(([0.0], np.linspace(1, 2, m + 1) / 3, [1.0])))
 
-    def test_coincident_inputs_rejected(self):
-        z = polygon(2)
-        with pytest.raises(InputError):
-            gg_loop(np.array([[0.1, 0.1], [0.1, 0.1]]), z, make_flow([]), 8)
-
     def test_loop_size_bound(self):
         most = MAX_LOOP_POSITIONS // 2 - 3  # 2 strands of m + 3 positions each
         assert loop_samples(make_flow([]), 2, most) == most
@@ -100,7 +95,7 @@ class TestBundle:
 
         monkeypatch.setattr(np, "linspace", no_allocation)
         with pytest.raises(InputError, match="positions"):
-            gg_loop(polygon(2), polygon(2, 0.3), make_flow([]), 10**9)
+            next(gg_loops(polygon(2), polygon(2, 0.3)[None], make_flow([]), 10**9))
 
 
 def legs_sampled(base, start, flow, m):

@@ -12,8 +12,9 @@ from discbraid.profiles import (
     profile_from_json,
     profile_to_json,
     rotation_profile,
-    zero_profile,
 )
+
+from references import zero_profile
 
 HALF = Fraction(1, 2)
 
