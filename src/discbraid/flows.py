@@ -30,6 +30,8 @@ __all__ = [
     "make_flow",
     "MAX_ROTATION",
     "check_rotation",
+    "turn",
+    "flow_path",
     "calabi",
     "calabi_coefficient",
     "signature_moment",
@@ -118,22 +120,23 @@ def check_rotation(spec: FlowSpec) -> float:
     return bound
 
 
+def turn(x, y, angles):
+    """(cos a x - sin a y, sin a x + cos a y): the points (x, y) turned by ``angles``,
+    broadcast together.  The one flow map; an angle of 0 gives (x, y) back exactly."""
+    c, s = np.cos(angles), np.sin(angles)
+    return c * x - s * y, s * x + c * y
+
+
 def flow_path(spec: FlowSpec, points, s_values):
     """Trajectories of Cartesian ``points`` under the flow at scaled times.
 
     points: (N, 2); s_values: (T,) in [0, 1] parameterizing the isotopy
-    s -> flow at time coefficients s * t_i.  Returns (N, T, 2).
+    s -> flow at time coefficients s * t_i.  Returns (N, T, 2), each point
+    ``turn``-ed by s times its rate, so a point at rate 0 stays exactly put.
     """
     pts = np.asarray(points, dtype=float)
-    s = np.asarray(s_values, dtype=float)
-    r2 = np.sum(pts**2, axis=1)
-    base_rate = spec.angular_rate_float(np.clip(r2, 0.0, 1.0))  # (N,)
-    theta0 = np.arctan2(pts[:, 1], pts[:, 0])
-    r = np.sqrt(r2)
-    angles = theta0[:, None] + base_rate[:, None] * s[None, :]
-    return np.stack(
-        (r[:, None] * np.cos(angles), r[:, None] * np.sin(angles)), axis=-1
-    )
+    rate = spec.angular_rate_float(np.clip(np.sum(pts**2, axis=1), 0.0, 1.0))  # (N,)
+    return np.stack(turn(pts[:, :1], pts[:, 1:], rate[:, None] * np.asarray(s_values, dtype=float)), axis=-1)
 
 
 def calabi_coefficient(spec: FlowSpec) -> Fraction:

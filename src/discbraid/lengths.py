@@ -18,8 +18,8 @@ refinement halves only the difference step, until a halving moves the
 value by less than 0.1% or MAX_REFINEMENTS halvings are spent; a run that
 never settles returns its last value without saying so.  The trapezoid
 grid never changes, so its error is not measured.  A radial flow's angular rate
-depends only on |x|^2, so ``as_isotopy`` computes it once per cloud, not
-once per time evaluation.
+depends only on |x|^2, so ``as_isotopy`` computes it once per cloud, not once
+per time evaluation, and moves the cloud as bitwise ``flow_path`` at one time.
 
 These lengths are upper bounds for the right-invariant metric (which is an
 infimum over all isotopies); every consumer in this package treats them as
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import InputError
 from .estimator import TASK_LP_SPACE, chunk_rng, sample_configs
-from .flows import FlowSpec, check_lp_exponent
+from .flows import FlowSpec, check_lp_exponent, turn
 from .loops import TrajectoryBundle
 
 __all__ = ["LengthEstimate", "holder_constant", "lp_length_sampled", "lp_length_of_bundle", "as_isotopy"]
@@ -77,9 +77,9 @@ def as_isotopy(obj) -> Callable[[float, np.ndarray], np.ndarray]:
     keeps a private copy of the last points, the indices of those the flow
     moves (rate != 0) and their coordinates and rates, and reuses them while
     the points compare equal (by value, so a caller that mutates its array
-    in place gets fresh rates).  Each call copies the points and rotates
-    only the moving ones.  The result is bitwise the same as recomputing on
-    every call: a point at rate 0 turns by cos 0 = 1 and sin 0 = 0.
+    in place gets fresh rates).  Each call copies the points and ``turn``s
+    only the moving ones.  The result is bitwise ``flow_path`` at one time:
+    ``turn`` gives a point at rate 0 back exactly.
     """
     if isinstance(obj, FlowSpec):
         memo = None  # (points, moving indices, their x, y and rates)
@@ -93,11 +93,8 @@ def as_isotopy(obj) -> Callable[[float, np.ndarray], np.ndarray]:
                 moving = np.nonzero(rate)[0]
                 memo = (pts.copy(), moving, pts[moving, 0], pts[moving, 1], rate[moving])
             _, moving, x, y, rate = memo
-            dtheta = t * rate
-            c, s = np.cos(dtheta), np.sin(dtheta)
             out = pts.copy()
-            out[moving, 0] = c * x - s * y
-            out[moving, 1] = s * x + c * y
+            out[moving, 0], out[moving, 1] = turn(x, y, t * rate)
             return out
 
         return apply

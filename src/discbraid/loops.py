@@ -38,7 +38,7 @@ import numpy as np
 
 from .braids import BraidWord
 from .errors import DegenerateConfigurationError, InputError
-from .flows import FlowSpec, check_rotation, flow_path
+from .flows import FlowSpec, check_rotation, flow_path, turn
 
 __all__ = [
     "TrajectoryBundle",
@@ -78,10 +78,6 @@ class TrajectoryBundle:
             raise InputError("sample times must be strictly increasing")
         if positions.ndim != 3 or positions.shape[1] != times.size or positions.shape[2] != 2:
             raise InputError(f"positions shaped {positions.shape} do not match times")
-
-    @property
-    def strands(self) -> int:
-        return int(self.positions.shape[0])
 
     def is_loop(self) -> bool:
         return bool(np.allclose(self.positions[:, 0], self.positions[:, -1], atol=LOOP_CLOSURE_TOLERANCE))
@@ -167,11 +163,12 @@ def _segment_distance(a, b):
 
 
 def _polar(flow: FlowSpec, points):
-    """Rate, radius, angle and flow image of each of the (count, k, 2) points."""
+    """Rate, radius, angle and complex flow image (``flow_path`` at s = 1) of the (count, k, 2) points."""
+    x, y = points[..., 0], points[..., 1]
     r2 = np.sum(points**2, axis=-1)  # as in flow_path
     omega = flow.angular_rate_float(np.clip(r2, 0.0, 1.0))
-    r, theta = np.sqrt(r2), np.arctan2(points[..., 1], points[..., 0])
-    return omega, r, theta, r * np.exp(1j * (theta + omega))
+    g_x, g_y = turn(x, y, omega)
+    return omega, np.sqrt(r2), np.arctan2(y, x), g_x + 1j * g_y
 
 
 def _pair_turns(z, x, polar, i: int, j: int) -> np.ndarray:

@@ -288,6 +288,33 @@ class TestFlowApply:
         argv, stdout = self.POLAR[name]
         assert run_cli(capsys, "flow-apply", "--flow", hs_flow[1], *argv, "--polar") == (0, stdout, "")
 
+    # hs(7/24) at time 2; the flow does not move (-0.1, 0), which comes back exactly
+    CARTESIAN = {
+        "fixed": (
+            ["--point=-0.1,0"],
+            '# config {"command": "flow-apply", "point": [-0.1, 0.0], "polar": false, "seed": 0, "threads": 1}\n'
+            "point,[-0.1, 0.0]\nimage,[-0.1, 0.0]\n",
+        ),
+        "inner": (
+            ["--point", "0.55,0.1"],
+            '# config {"command": "flow-apply", "point": [0.55, 0.1], "polar": false, "seed": 0, "threads": 1}\n'
+            "point,[0.55, 0.1]\nimage,[-0.0007186052990742903, -0.5590165324983012]\n",
+        ),
+        "outer": (
+            ["--point=-0.3,0.4"],
+            '# config {"command": "flow-apply", "point": [-0.3, 0.4], "polar": false, "seed": 0, "threads": 1}\n'
+            "point,[-0.3, 0.4]\nimage,[0.4246569430929022, 0.26394408628152977]\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(CARTESIAN))
+    def test_cartesian_bytes(self, capsys, tmp_path, name):
+        profile = tmp_path / "hs-profile.json"
+        profile.write_text(profile_to_json(make_hs_profile(Fraction(7, 24))))
+        argv, stdout = self.CARTESIAN[name]
+        command = ["flow-apply", "--profile", str(profile), "--time", "2", *argv, "--format", "csv"]
+        assert run_cli(capsys, *command) == (0, stdout, "")
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -8,7 +8,7 @@ import pytest
 
 from discbraid.errors import InputError
 from discbraid.estimator import chunk_rng
-from discbraid.flows import FlowSpec, lp_length_radial, make_flow
+from discbraid.flows import FlowSpec, flow_path, lp_length_radial, make_flow
 from discbraid.lengths import (
     as_isotopy,
     holder_constant,
@@ -147,6 +147,23 @@ class TestRateMemo:
         assert not np.array_equal(after, 0.6 * before)
         cloud[0] = (0.1, 0.2)  # one changed point is enough
         assert np.array_equal(apply(0.5, cloud), rotate_by_formula(flow, 0.5, cloud))
+
+    @pytest.mark.parametrize(
+        "flow",
+        [
+            make_flow([(polynomial_bump(Fraction(1, 4), Fraction(3, 4), 20), 1)]),
+            two_term_flow(),
+            rotation_flow(Fraction(7, 10)),
+        ],
+        ids=["criterion-8-bump", "two-term", "rigid"],
+    )
+    def test_is_flow_path_at_one_time(self, flow):
+        """One flow map: the sampled lengths move the cloud with the very
+        bits of ``flow_path``, fixed points included."""
+        apply = as_isotopy(flow)
+        cloud = np.concatenate((disc_cloud(6, 1000), [[0.0, 0.0], [-0.1, 0.0], [0.6, -0.8], [1.0, 0.0]]))
+        for t in (-0.01, 0.0, 0.37, 1.0, 1.01):
+            assert apply(t, cloud).tobytes() == flow_path(flow, cloud, [t])[:, 0].tobytes()
 
     def test_clouds_of_different_sizes(self):
         flow = bump_flow()

@@ -77,7 +77,7 @@ class TestBundle:
         # z, the m + 1 orbit samples (constant at x for the identity flow), z
         assert bundle.positions.shape == (2, m + 3, 2)
         assert np.array_equal(bundle.positions[:, 0], z) and np.array_equal(bundle.positions[:, -1], z)
-        assert np.allclose(bundle.positions[:, 1 : m + 2], x[:, None])
+        assert np.array_equal(bundle.positions[:, 1 : m + 2], np.broadcast_to(x[:, None], (2, m + 1, 2)))
         assert np.allclose(bundle.times, np.concatenate(([0.0], np.linspace(1, 2, m + 1) / 3, [1.0])))
 
     def test_loop_size_bound(self):
@@ -375,12 +375,12 @@ def walk_loop_braid(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidWord
     """
     word, d = walk_extract_perturbed(bundle, direction)
     order = walk_initial_order(bundle, d)
-    if order == tuple(range(bundle.strands)):
+    if order == tuple(range(word.strands)):
         return word
     # strand with bundle index i must start in the slot where the
     # projected order placed it
-    u = BraidWord(bundle.strands, tuple(walk_permutation_word(order)))
-    return BraidWord(bundle.strands, u.letters + word.letters + u.inverse().letters)
+    u = BraidWord(word.strands, tuple(walk_permutation_word(order)))
+    return BraidWord(word.strands, u.letters + word.letters + u.inverse().letters)
 
 
 def walk_bundle_braid(bundle: TrajectoryBundle, direction=(1.0, 0.0)) -> BraidWord:
