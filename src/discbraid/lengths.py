@@ -4,20 +4,21 @@ The length of an isotopy is the time integral of the spatial L^p norm of
 its velocity field.  Because the maps are area-preserving, the spatial
 integral may be taken over initial conditions, so the estimator tracks a
 fixed cloud of uniformly sampled points, differentiates their motion in
-time by centred differences, and applies the trapezoid rule in t on a
-fixed grid of ``time_steps`` points.  The calling thread moves the cloud
-to each distinct time once, in grid order: where one time's forward image
-and the next time's backward image fall at the same float, one isotopy call
-serves both.  The spatial norm at each time, (pi * mean(speed^p))^(1/p),
-runs on one worker thread while the caller moves the cloud to the next
-time, and the norms are summed in grid order, so the result does not
-depend on thread timing.  The norm is taken with the largest speed
-factored out, so a finite length never overflows on the way; a length or
-error bar that is not finite is refused with InputError.  Richardson
-refinement halves only the difference step, until a halving moves the
-value by less than 0.1% or MAX_REFINEMENTS halvings are spent; a run that
-never settles returns its last value without saying so.  The trapezoid
-grid never changes, so its error is not measured.  A radial flow's angular rate
+time by centred differences of the fixed step ``STEP``, and applies the
+trapezoid rule in t on nested grids: ``time_steps`` points, then each
+interval halved, until a halving moves the value by less than 0.1%.  A
+refinement asks the isotopy only for the new midpoints and keeps every norm
+it already has.  The step's own error is measured once, by a difference of
+twice the step at the middle time of the first grid; the estimate reports
+``converged: false`` when that norm moves by more than 0.1%, or when the
+grid has not settled within MAX_REFINEMENTS halvings or MAX_TIME_STEPS
+points.  The calling thread moves the cloud to each time in grid order.
+The spatial norm at each time, (pi * mean(speed^p))^(1/p), runs on one
+worker thread while the caller moves the cloud to the next time, and the
+norms are summed in grid order, so the result does not depend on thread
+timing.  The norm is taken with the largest speed factored out, so a
+finite length never overflows on the way; a length or error bar that is
+not finite is refused with InputError.  A radial flow's angular rate
 depends only on |x|^2, so ``as_isotopy`` computes it once per cloud, not once
 per time evaluation, and moves the cloud as bitwise ``flow_path`` at one time.
 
@@ -42,8 +43,9 @@ from .loops import TrajectoryBundle
 __all__ = ["LengthEstimate", "holder_constant", "lp_length_sampled", "lp_length_of_bundle", "as_isotopy"]
 
 RICHARDSON_RTOL = 1e-3
-MAX_REFINEMENTS = 8
-MAX_TIME_STEPS = 2**20  # the time grid and its weights stay in memory
+STEP = 2.0**-16  # the difference step: t +- STEP is exact on dyadic grids
+MAX_REFINEMENTS = 4  # so a run makes at most 2 * (16 * (time_steps - 1) + 1) + 2 isotopy calls
+MAX_TIME_STEPS = 2**20  # the time grid and its norms stay in memory
 MAX_SPACE_SAMPLES = 2**22  # the cloud and its images stay in memory: 630 MB peak RSS at the cap
 
 
@@ -54,6 +56,8 @@ class LengthEstimate:
     time_steps: int
     space_samples: int
     seed: int
+    converged: bool
+    refinements: int
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -114,18 +118,23 @@ def lp_length_sampled(
 
     ``isotopy`` maps (t, initial points) to moved points and must accept t
     slightly outside [0, 1] (centered differences).  The spatial cloud is
-    drawn once from the uniform measure and reused across the whole time
-    grid; the reported standard error conservatively treats the per-time
-    errors as fully correlated.  InputError for a non-finite value or error.
+    drawn once from the uniform measure and reused across every time; the
+    reported standard error conservatively treats the per-time errors as
+    fully correlated.  ``time_steps`` is the first grid; ``refinements``
+    counts the halvings made after it.  InputError for a non-finite value
+    or error.
 
-    Each distinct time of a pass is asked of the isotopy once, on the
-    calling thread and in grid order; on the default grid the first pass
-    makes 34 calls for 33 times.  The images are differenced in float64
-    into a buffer of this call, and one worker thread turns each
-    difference into its norm while the caller moves the cloud on.  The
-    norms are summed in grid order, so the value is the same bits as one
-    loop on one thread.  An exception from the isotopy propagates
-    unchanged once the worker has stopped.
+    The isotopy is asked for t + STEP and t - STEP at each time of the first
+    grid, then for the two probe images at its middle time, then for the
+    same pair at each new midpoint of each refinement: 2 * (finest grid) + 2
+    calls, each on the calling thread and in grid order.  On the default
+    grid a flow whose speed field does not depend on t settles at the first
+    refinement, after 132 calls.  The images are differenced in float64
+    into a buffer of this call, and one worker thread turns each difference
+    into its norm while the caller moves the cloud on.  The norms are
+    summed in grid order, so the value is the same bits as one loop on one
+    thread.  An exception from the isotopy propagates unchanged once the
+    worker has stopped.
     """
     check_lp_exponent(p)
     if not 2 <= time_steps <= MAX_TIME_STEPS:
@@ -134,12 +143,6 @@ def lp_length_sampled(
         raise InputError(f"need 1 to {MAX_SPACE_SAMPLES} space samples, got {space_samples}")
     apply = as_isotopy(isotopy)
     cloud = sample_configs(chunk_rng(seed, TASK_LP_SPACE, 0), space_samples, 1)[:, 0]
-
-    times = np.linspace(0.0, 1.0, time_steps)
-    dt = 0.5 * (times[1] - times[0])
-    weights = np.full(time_steps, times[1] - times[0])
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
     # the worker's buffers; images are never written to, as one may be the cloud
     diff = np.empty_like(cloud)
     speed = np.empty(space_samples)
@@ -150,44 +153,58 @@ def lp_length_sampled(
             np.divide(speed, 2.0 * step, out=speed)
             return _lp_norm(speed, p)
 
-    def evaluate(pool, step: float) -> tuple[float, float]:
-        fwd_times, back_times = times + step, times - step
+    def evaluate(pool, times, step: float) -> list[tuple[float, float]]:
         futures = []
-        kept = None  # the image at fwd_times[j - 1], kept when it equals back_times[j]
-        for j in range(time_steps):
+        for t in times:
             # the last fwd and back stay bound until these calls return:
             # freed earlier, they let malloc trim the heap top and fault it
             # back in on every call
-            fwd = apply(fwd_times[j], cloud)
-            back = apply(back_times[j], cloud) if kept is None else kept
+            fwd = apply(t + step, cloud)
+            back = apply(t - step, cloud)
             if futures:
                 futures[-1].result()  # the worker is done with the last difference
             np.subtract(fwd, back, out=diff)
-            reused = j + 1 < time_steps and back_times[j + 1] == fwd_times[j]
-            kept = fwd if reused else None
             futures.append(pool.submit(norm_of, step))
-        value = 0.0
-        error = 0.0
-        for w, future in zip(weights, futures):  # in grid order, whatever the timing
-            norm, rel_error = future.result()
-            value += w * norm
-            error += w * norm * rel_error
-        return value, error
+        return [future.result() for future in futures]
 
     from concurrent.futures import ThreadPoolExecutor
 
     # leaving the block joins the worker, also when the isotopy raises
     with ThreadPoolExecutor(max_workers=1) as pool, np.errstate(all="ignore"):
-        value, error = evaluate(pool, dt)
-        for _ in range(MAX_REFINEMENTS):
-            dt *= 0.5
+        times = np.linspace(0.0, 1.0, time_steps)
+        norms = evaluate(pool, times, STEP)
+        middle = (time_steps - 1) // 2
+        [(probe, _)] = evaluate(pool, times[middle:middle + 1], 2.0 * STEP)
+        step_settled = _close(norms[middle][0], probe)
+        value, error = _trapezoid(norms)
+        settled = False
+        refinements = 0
+        while not settled and refinements < MAX_REFINEMENTS and 2 * len(norms) - 1 <= MAX_TIME_STEPS:
+            times = np.linspace(0.0, 1.0, 2 * len(norms) - 1)
+            new = evaluate(pool, times[1::2], STEP)
+            norms = [n for pair in zip(norms, new) for n in pair] + norms[-1:]
+            refinements += 1
             previous = value
-            value, error = evaluate(pool, dt)
-            if abs(value - previous) <= RICHARDSON_RTOL * max(abs(value), 1e-300):
-                break
+            value, error = _trapezoid(norms)
+            settled = _close(value, previous)
     if not (math.isfinite(value) and math.isfinite(error)):
         raise InputError("L^p length overflows float arithmetic")
-    return LengthEstimate(value, error, time_steps, space_samples, seed)
+    return LengthEstimate(value, error, time_steps, space_samples, seed, settled and step_settled, refinements)
+
+
+def _trapezoid(norms: list[tuple[float, float]]) -> tuple[float, float]:
+    """The trapezoid sums of the norms and of their absolute errors over an
+    even grid of [0, 1], in grid order."""
+    h = 1.0 / (len(norms) - 1)
+    weights = [0.5 * h] + [h] * (len(norms) - 2) + [0.5 * h]
+    value = sum(w * norm for w, (norm, _) in zip(weights, norms))
+    error = sum(w * norm * rel_error for w, (norm, rel_error) in zip(weights, norms))
+    return value, error
+
+
+def _close(value: float, other: float) -> bool:
+    """Whether ``other`` is within RICHARDSON_RTOL of ``value``, relatively."""
+    return abs(value - other) <= RICHARDSON_RTOL * max(abs(value), 1e-300)
 
 
 def _lp_norm(speed: np.ndarray, p: float) -> tuple[float, float]:

@@ -20,7 +20,8 @@ from scipy import integrate, optimize
 
 from discbraid.braids import concat
 from discbraid.estimator import TASK_LP_SPACE, chunk_rng, sample_configs
-from discbraid.lengths import MAX_REFINEMENTS, RICHARDSON_RTOL, LengthEstimate, as_isotopy
+from discbraid import lengths
+from discbraid.lengths import RICHARDSON_RTOL, STEP, LengthEstimate, as_isotopy
 from discbraid.loops import TrajectoryBundle, gg_loops
 from discbraid.profiles import RadialProfile
 
@@ -122,19 +123,20 @@ def lp_length_quad(spec, p, grid=20_001):
 
 
 def lp_length_sampled_loop(isotopy, p, time_steps=33, space_samples=65536, seed=0):
-    """The sampled L^p length as one loop over the time grid on one thread.
+    """The sampled L^p length as one loop over nested time grids on one thread.
 
     Each time asks the isotopy for both of its images, forward then back,
-    and takes the norm before it moves on.  Same cloud, difference steps,
-    Richardson refinement and summation order as ``lp_length_sampled``, so
-    the two agree bit for bit; no input validation.
+    and takes the norm before it moves on; a refinement evaluates the new
+    midpoints and keeps the norms of the coarser grid.  Same cloud,
+    difference step, probe, caps (read when called, so a test may patch them),
+    summation order and convergence rule as ``lp_length_sampled``, so the two
+    agree bit for bit; no input validation.
     """
     apply = as_isotopy(isotopy)
     cloud = sample_configs(chunk_rng(seed, TASK_LP_SPACE, 0), space_samples, 1)[:, 0]
-    times = np.linspace(0.0, 1.0, time_steps)
-    dt = 0.5 * (times[1] - times[0])
 
-    def norm(speed):
+    def norm(t, step):
+        speed = np.hypot(*(apply(t + step, cloud) - apply(t - step, cloud)).T) / (2.0 * step)
         top = float(np.max(speed))
         if top == 0.0:
             return 0.0, 0.0
@@ -143,29 +145,38 @@ def lp_length_sampled_loop(isotopy, p, time_steps=33, space_samples=65536, seed=
         sigma_mean = float(np.std(powers, ddof=1)) / math.sqrt(speed.size) if speed.size > 1 else 0.0
         return top * (math.pi * mean) ** (1.0 / p), sigma_mean / (p * mean)
 
-    def evaluate(step):
+    def trapezoid(norms):
+        h = 1.0 / (len(norms) - 1)
         value = 0.0
         error = 0.0
-        weights = np.full(time_steps, times[1] - times[0])
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
-        for t, w in zip(times, weights):
-            fwd = apply(t + step, cloud)
-            back = apply(t - step, cloud)
-            n, rel_error = norm(np.hypot(*(fwd - back).T) / (2.0 * step))
+        for k, (n, rel_error) in enumerate(norms):
+            w = 0.5 * h if k in (0, len(norms) - 1) else h
             value += w * n
             error += w * n * rel_error
         return value, error
 
+    def close(a, b):
+        return abs(a - b) <= RICHARDSON_RTOL * max(abs(a), 1e-300)
+
     with np.errstate(all="ignore"):
-        value, error = evaluate(dt)
-        for _ in range(MAX_REFINEMENTS):
-            dt *= 0.5
+        times = np.linspace(0.0, 1.0, time_steps)
+        norms = [norm(t, STEP) for t in times]
+        middle = (time_steps - 1) // 2
+        step_settled = close(norms[middle][0], norm(times[middle], 2.0 * STEP)[0])
+        value, error = trapezoid(norms)
+        settled = False
+        refinements = 0
+        while not settled and refinements < lengths.MAX_REFINEMENTS and 2 * len(norms) - 1 <= lengths.MAX_TIME_STEPS:
+            times = np.linspace(0.0, 1.0, 2 * len(norms) - 1)
+            refined = []
+            for k, t in enumerate(times):
+                refined.append(norms[k // 2] if k % 2 == 0 else norm(t, STEP))
+            norms = refined
+            refinements += 1
             previous = value
-            value, error = evaluate(dt)
-            if abs(value - previous) <= RICHARDSON_RTOL * max(abs(value), 1e-300):
-                break
-    return LengthEstimate(value, error, time_steps, space_samples, seed)
+            value, error = trapezoid(norms)
+            settled = close(value, previous)
+    return LengthEstimate(value, error, time_steps, space_samples, seed, settled and step_settled, refinements)
 
 
 def sample_defect(phi, word_sampler, trials, seed):

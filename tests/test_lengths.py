@@ -6,10 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import discbraid.lengths
 from discbraid.errors import InputError
 from discbraid.estimator import chunk_rng
-from discbraid.flows import FlowSpec, flow_path, lp_length_radial, make_flow
+from discbraid.flows import FlowSpec, flow_path, lp_length_radial, make_flow, turn
 from discbraid.lengths import (
+    STEP,
     as_isotopy,
     holder_constant,
     lp_length_of_bundle,
@@ -37,6 +39,11 @@ def translate_loop(t, pts):
     """Rigid translation around a circle of radius 0.1: speed 0.2 pi everywhere."""
     angle = 2 * math.pi * t
     return np.asarray(pts) + 0.1 * np.array([math.cos(angle) - 1, math.sin(angle)])
+
+
+def cubic_turn(t, pts):
+    """Turns the disc by 2 t^3: speed 6 t^2 |x|, exact L^2 length 2 sqrt(pi / 2)."""
+    return np.stack(turn(pts[:, 0], pts[:, 1], 2.0 * t**3), axis=1)
 
 
 class CountingIsotopy:
@@ -265,11 +272,55 @@ class TestLpLengthSampled:
             as_isotopy(42)
 
 
+class TestConvergence:
+    """Nested grids refine until the trapezoid settles; the estimate says
+    whether it did, within the caps, and whether the difference step did."""
+
+    @pytest.mark.parametrize("time_steps, converged", [(3, False), (9, True), (33, True)])
+    def test_cubic_turn(self, time_steps, converged):
+        # a fixed trapezoid grid of 3 points reads 12.5 % high here (z about 99);
+        # from 3 points the 4th halving still moves the value by 0.15 %
+        est = lp_length_sampled(cubic_turn, 2, time_steps=time_steps, seed=0)
+        want = 2 * math.sqrt(math.pi / 2)
+        assert est.converged is converged
+        assert abs(est.value - want) <= 3 * est.std_error + 1e-3 * want
+
+    def test_a_radial_flow_settles_at_the_first_refinement(self):
+        est = lp_length_sampled(bump_flow(), 2, space_samples=2000, seed=1)
+        assert (est.converged, est.refinements) == (True, 1)
+        assert est.to_dict()["converged"] is True and est.to_dict()["refinements"] == 1
+
+    def test_a_coarse_difference_step_is_reported(self):
+        def spin(rate):
+            return lambda t, pts: np.stack(turn(pts[:, 0], pts[:, 1], rate * t), axis=1)
+
+        # turning 2^14 rad per unit time, the chord over 2 STEP is 1 % short
+        # of the arc and over 4 STEP 4 %: the grid settles, the step does not
+        fast = lp_length_sampled(spin(2.0**14), 2, space_samples=2000, seed=1)
+        assert (fast.converged, fast.refinements) == (False, 1)
+        assert lp_length_sampled(spin(2.0**8), 2, space_samples=2000, seed=1).converged
+
+    @pytest.mark.parametrize(
+        "cap, value, time_steps, refinements",
+        [("MAX_REFINEMENTS", 1, 3, 1), ("MAX_TIME_STEPS", 9, 3, 2), ("MAX_TIME_STEPS", 9, 9, 0)],
+        ids=["refinements", "grid", "grid-at-the-start"],
+    )
+    def test_caps(self, monkeypatch, cap, value, time_steps, refinements):
+        monkeypatch.setattr(discbraid.lengths, cap, value)
+        counted = CountingIsotopy(cubic_turn)
+        est = lp_length_sampled(counted, 2, time_steps=time_steps, space_samples=500, seed=3)
+        assert (est.converged, est.refinements) == (False, refinements)
+        assert len(counted.times) == 2 * ((time_steps - 1) * 2**refinements + 1) + 2
+        want = lp_length_sampled_loop(cubic_turn, 2, time_steps=time_steps, space_samples=500, seed=3)
+        assert repr(est) == repr(want)
+
+
 class TestSampledPipeline:
     """Each distinct time is asked for once, the norms run on a worker
     thread, and the result is the per-time loop's, bit for bit."""
 
-    ISOTOPIES = {"flow": bump_flow, "callable": lambda: translate_loop, "two-term": two_term_flow}
+    ISOTOPIES = {"flow": bump_flow, "callable": lambda: translate_loop, "two-term": two_term_flow,
+                 "cubic": lambda: cubic_turn}
 
     @pytest.mark.parametrize("time_steps", [2, 10, 33])
     @pytest.mark.parametrize("p", [1, 1.5, 2, 3])
@@ -280,25 +331,28 @@ class TestSampledPipeline:
         want = lp_length_sampled_loop(make(), p, time_steps=time_steps, space_samples=2000, seed=4)
         assert repr(got) == repr(want)
 
-    @pytest.mark.parametrize("time_steps, first_pass", [(33, 34), (10, 13)])
-    def test_each_time_asked_once(self, time_steps, first_pass):
-        # on 33 steps every midpoint (2j+1)/64 is shared; on 10 steps 7 of the
-        # 9 midpoints are equal floats; the refined steps share none
-        flow = bump_flow(t=16)
-        counted = CountingIsotopy(flow)
-        lp_length_sampled(counted, 2, time_steps=time_steps, space_samples=3000, seed=2)
-        parent = CountingIsotopy(flow)
+    @pytest.mark.parametrize(
+        "isotopy, time_steps, refinements",
+        [(bump_flow(t=16), 33, 1), (bump_flow(t=16), 10, 1), (cubic_turn, 3, 4), (cubic_turn, 9, 3)],
+        ids=["bump-33", "bump-10", "cubic-3", "cubic-9"],
+    )
+    def test_each_time_asked_once(self, isotopy, time_steps, refinements):
+        # a refinement asks only for its new midpoints, and the probe for two
+        # more images: no time is asked twice in the whole call
+        counted = CountingIsotopy(isotopy)
+        est = lp_length_sampled(counted, 2, time_steps=time_steps, space_samples=3000, seed=2)
+        assert est.refinements == refinements
+        finest = (time_steps - 1) * 2**refinements + 1
+        assert len(counted.times) == 2 * finest + 2
+        assert len(set(counted.times)) == len(counted.times)
+        grid = np.linspace(0.0, 1.0, finest)
+        middle = np.linspace(0.0, 1.0, time_steps)[(time_steps - 1) // 2]
+        asked = np.sort(counted.times)
+        want = np.sort(np.concatenate((grid + STEP, grid - STEP, [middle + 2 * STEP, middle - 2 * STEP])))
+        assert np.allclose(asked, want, rtol=0, atol=1e-15)
+        parent = CountingIsotopy(isotopy)
         lp_length_sampled_loop(parent, 2, time_steps=time_steps, space_samples=3000, seed=2)
-        refinements = len(parent.times) // (2 * time_steps) - 1
-        assert refinements >= 1
-        per_pass = 2 * time_steps
-        assert len(counted.times) == first_pass + refinements * per_pass
-        sizes = [first_pass] + [per_pass] * refinements
-        starts = np.cumsum([0] + sizes)
-        for k, (a, b) in enumerate(zip(starts, starts[1:])):
-            asked = counted.times[a:b]
-            assert len(set(asked)) == len(asked)  # no time twice in a pass
-            assert set(asked) == set(parent.times[2 * time_steps * k:2 * time_steps * (k + 1)])
+        assert counted.times == parent.times  # the same times, in the same order
 
     def test_images_are_not_written(self):
         returned = []
